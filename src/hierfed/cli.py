@@ -5,11 +5,11 @@ Subcommands:
     theory          print condition value, max feasible learning rate, bound
     optimize        print the iteration-count optimizer result
     compare-depths  run reduced-depth variants of a uniform tree
-    measure-q       print measured quantizer variance constants
+    measure-q       print the certified and typical quantizer variance constants
 
 Configs are YAML (JSON parses too). Every resolved parameter is echoed into
 summary.json so a run can be reproduced from that file alone. Exit codes:
-0 success, 2 config error, 3 infeasibility.
+0 success, 2 config error, 3 infeasibility, 4 diverged (non-finite training).
 """
 
 from __future__ import annotations
@@ -27,20 +27,16 @@ import yaml
 from . import engine, gp_optimizer, latency as latency_mod, quantizer as quant_mod
 from . import tasks as tasks_mod
 from . import theory as theory_mod
+from .engine import _stream
 from .topology import Topology, build_topology, reduce_depth
 
 _TASK_GEN_STREAM = 3
 _FREQ_STREAM = 4
 _INIT_STREAM = 5
-_MEASURE_STREAM = 6
 
 
 class ConfigError(ValueError):
     """Missing or inconsistent configuration."""
-
-
-def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, *key)))
 
 
 def load_config(path: str | Path) -> dict:
@@ -207,15 +203,8 @@ def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]
     return specs
 
 
-def _measure_qs(cfg: dict, specs: list[quant_mod.QuantizerSpec], dim: int) -> list[float]:
-    seed = int(cfg["seed"])
-    trials = int(cfg.get("measure_q", {}).get("trials", 20_000))
-    out = []
-    for idx, spec in enumerate(specs):
-        if spec.measured_q is None:
-            quant_mod.measure_q(spec, dim, trials, _stream(seed, _MEASURE_STREAM, idx))
-        out.append(float(spec.measured_q))
-    return out
+def _measure_qs(specs: list[quant_mod.QuantizerSpec], dim: int) -> list[float]:
+    return [quant_mod.measure_q(spec, dim) for spec in specs]
 
 
 def _build_latency(cfg: dict, topo: Topology, task, n_layers: int) -> latency_mod.LatencyParams:
@@ -304,7 +293,7 @@ def _theory_block(cfg, topo, sched, task, q_vec, w0, lr):
     }
 
 
-def _resolved_config(cfg, topo, sched, quantizers, q_vec, lat, lr, weighted, task_resolved) -> dict:
+def _resolved_config(cfg, topo, sched, quantizers, q_vec, dim, lat, lr, weighted, task_resolved) -> dict:
     return {
         "seed": int(cfg["seed"]),
         "topology": {
@@ -314,16 +303,13 @@ def _resolved_config(cfg, topo, sched, quantizers, q_vec, lat, lr, weighted, tas
         },
         "task": task_resolved,
         "schedule": {"taus": list(sched.taus), "rounds": sched.global_rounds},
-        "quantizers": [
-            {"kind": s.kind, "levels": s.levels, "measured_q": s.measured_q}
-            for s in quantizers
-        ],
+        "quantizers": [{"kind": s.kind, "levels": s.levels} for s in quantizers],
         "q": list(q_vec),
+        "q_typical": [quant_mod.typical_q(s, dim) for s in quantizers],
         "lr": float(lr),
         "weighted": bool(weighted),
         "alpha": float(cfg.get("alpha", 0.5)),
         "theory": dict(cfg.get("theory", {})),
-        "measure_q": {"trials": int(cfg.get("measure_q", {}).get("trials", 20_000))},
         "latency": {
             "cycles_per_sample": lat.cycles_per_sample,
             "frequencies": list(lat.frequencies),
@@ -365,7 +351,7 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     lr = float(_require(cfg, "lr"))
     weighted = bool(cfg.get("weighted", False))
     quantizers = _build_quantizers(cfg, n_layers)
-    q_vec = _measure_qs(cfg, quantizers, task.dim)
+    q_vec = _measure_qs(quantizers, task.dim)
     lat = _build_latency(cfg, topo, task, n_layers)
 
     scfg = dict(_require(cfg, "schedule"))
@@ -422,7 +408,7 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
         "total_time": metrics.cumulative_time[-1],
         "theory": _theory_block(cfg, topo, sched, task, q_vec, w0, lr),
         "optimizer": optimizer_result,
-        "config": _resolved_config(cfg, topo, sched, quantizers, q_vec, lat, lr, weighted, task_resolved),
+        "config": _resolved_config(cfg, topo, sched, quantizers, q_vec, task.dim, lat, lr, weighted, task_resolved),
     }
 
     out = Path(output_dir if output_dir is not None else cfg.get("output_dir", "."))
@@ -440,9 +426,9 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
                     repr(metrics.cumulative_time[t]),
                 ]
             )
-    with open(out / "summary.json", "w") as fh:
-        json.dump(_json_safe(summary), fh, indent=2)
-        fh.write("\n")
+    # serialize first: a non-finite value must not leave a truncated file behind
+    text = json.dumps(_json_safe(summary), indent=2, allow_nan=False)
+    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
     return summary
 
 
@@ -524,7 +510,7 @@ def _cmd_theory(cfg: dict) -> dict:
     topo = _build_topology(cfg)
     task, _, _ = _build_task(cfg, topo)
     quantizers = _build_quantizers(cfg, topo.num_layers)
-    q_vec = _measure_qs(cfg, quantizers, task.dim)
+    q_vec = _measure_qs(quantizers, task.dim)
     scfg = dict(_require(cfg, "schedule"))
     sched = engine.Schedule(tuple(_require(scfg, "taus", "schedule")), int(scfg.get("rounds", 1)))
     block = _theory_block(cfg, topo, sched, task, q_vec, _initial_model(cfg, task), float(_require(cfg, "lr")))
@@ -537,7 +523,7 @@ def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
     topo = _build_topology(cfg)
     task, _, _ = _build_task(cfg, topo)
     quantizers = _build_quantizers(cfg, topo.num_layers)
-    q_vec = _measure_qs(cfg, quantizers, task.dim)
+    q_vec = _measure_qs(quantizers, task.dim)
     lat = _build_latency(cfg, topo, task, topo.num_layers)
     lat.rounds = int(cfg.get("schedule", {}).get("rounds", 1))
     spec = gp_optimizer.ObjectiveSpec(
@@ -569,10 +555,11 @@ def _cmd_measure_q(cfg: dict) -> dict:
     topo = _build_topology(cfg)
     task, _, _ = _build_task(cfg, topo)
     quantizers = _build_quantizers(cfg, topo.num_layers)
-    q_vec = _measure_qs(cfg, quantizers, task.dim)
+    q_vec = _measure_qs(quantizers, task.dim)
     return {
         "dimension": task.dim,
         "q": q_vec,
+        "q_typical": [quant_mod.typical_q(s, task.dim) for s in quantizers],
         "levels": [s.levels if not s.is_identity else None for s in quantizers],
     }
 
@@ -595,17 +582,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "run":
-            summary = run_experiment(cfg, args.output_dir)
-            print(json.dumps(_json_safe(summary), indent=2))
+            result = run_experiment(cfg, args.output_dir)
         elif args.command == "theory":
-            print(json.dumps(_json_safe(_cmd_theory(cfg)), indent=2))
+            result = _cmd_theory(cfg)
         elif args.command == "optimize":
-            print(json.dumps(_json_safe(_cmd_optimize(cfg, args.oracle, args.tau_max)), indent=2))
+            result = _cmd_optimize(cfg, args.oracle, args.tau_max)
         elif args.command == "compare-depths":
-            rows = compare_depths(cfg, args.depths or None)
-            print(json.dumps(_json_safe(rows), indent=2))
-        elif args.command == "measure-q":
-            print(json.dumps(_json_safe(_cmd_measure_q(cfg)), indent=2))
+            result = compare_depths(cfg, args.depths or None)
+        else:
+            result = _cmd_measure_q(cfg)
+        print(json.dumps(_json_safe(result), indent=2, allow_nan=False))
+    except engine.Diverged as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

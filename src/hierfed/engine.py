@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quantizer import QuantizerSpec, quantize
+from .quantizer import NonFiniteInput, QuantizerSpec, quantize
 from .tasks import Task, flat_global_loss
 from .topology import Topology
 
@@ -36,6 +36,10 @@ class DimensionMismatch(ValueError):
 
 class QuantizerCountMismatch(ValueError):
     """Quantizer vector length differs from the number of aggregation layers."""
+
+
+class Diverged(ArithmeticError):
+    """Training went non-finite (model, loss or gradient norm); not a config error."""
 
 
 @dataclass
@@ -149,7 +153,12 @@ def run(
     w0: np.ndarray | None = None,
     round_latency: float = 0.0,
 ) -> RunMetrics:
-    """Execute the full nested loop for schedule.global_rounds rounds."""
+    """Execute the full nested loop for schedule.global_rounds rounds.
+
+    Raises Diverged, for float models, as soon as the recorded loss or
+    gradient norm or the model after a round is non-finite, or when a hop's
+    quantizer meets a non-finite delta.
+    """
     n_layers = topology.num_layers
     if len(quantizers) != n_layers:
         raise QuantizerCountMismatch(
@@ -172,6 +181,9 @@ def run(
 
     for t in range(schedule.global_rounds):
         _record(metrics, task, w, weighted, round_latency)
+        # a finite model far out can still overflow its loss or gradient norm
+        if not exact and not (np.isfinite(metrics.loss[-1]) and np.isfinite(metrics.grad_norm_sq[-1])):
+            raise Diverged(f"round {t}: loss or gradient norm is not finite")
         batch_rngs = {i: _stream(seed, _BATCH_STREAM, t, i) for i in range(task.n_devices)}
         quant_rngs: dict[tuple[int, int], np.random.Generator] = {}
 
@@ -209,7 +221,13 @@ def run(
                     acc = acc + weights[layer - 1][node][k] * payload
             return acc
 
-        w = w + burst(n_layers, 0, w)
+        try:
+            w = w + burst(n_layers, 0, w)
+        except NonFiniteInput as exc:
+            raise Diverged(f"round {t}: {exc}") from exc
+        # object (Fraction) models are exact and cannot overflow
+        if not exact and not np.all(np.isfinite(w)):
+            raise Diverged(f"round {t}: model is not finite")
 
     metrics.final_model = w
     return metrics

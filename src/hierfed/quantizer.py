@@ -1,16 +1,18 @@
-"""Unbiased stochastic vector quantizers and empirical variance measurement.
+"""Unbiased stochastic vector quantizers and their relative-variance constants.
 
 The stochastic quantizer maps x to sign(x) * ||x|| * zeta, where each
 coordinate of zeta lands on one of two adjacent points of the uniform grid
 {0, 1/s, ..., s/s}; the upper point is picked with probability
 (s*|x_i|/||x||) - floor(s*|x_i|/||x||), which makes the map unbiased. Its
 relative error variance E||Q(x)-x||^2 / ||x||^2 is bounded by a constant that
-shrinks as the level count s grows; `measure_q` estimates the tightest such
-constant empirically.
+shrinks as the level count s grows: `measure_q` returns a certified such
+bound in closed form, and `typical_q` the exact ratio on a fixed probe set,
+for comparison.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +28,15 @@ class QuantizerSpec:
 
     kind: "identity" (lossless) or "stochastic_levels".
     levels: number of grid levels s >= 1 (ignored for identity).
-    measured_q: empirically measured relative-variance constant; 0 for
-        identity, filled in by measure_q otherwise.
     """
 
     kind: str = "identity"
     levels: int = 1
-    measured_q: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "stochastic_levels"):
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
-        if self.kind == "identity":
-            self.measured_q = 0.0
-        elif self.levels < 1:
+        if self.kind == "stochastic_levels" and self.levels < 1:
             raise ValueError("stochastic_levels needs levels >= 1")
 
     @property
@@ -89,8 +86,7 @@ def expected_error_ratio(spec: QuantizerSpec, x: np.ndarray) -> float:
 
     Coordinates are independent given x, and each zeta_i is a two-outcome
     random variable with mean s*|x_i|/||x|| and variance p(1-p)/s^2, so the
-    ratio is sum_i p_i(1-p_i) / s^2. Used as the closed-form oracle for the
-    Monte-Carlo measurement.
+    ratio is sum_i p_i(1-p_i) / s^2.
     """
     if spec.is_identity:
         return 0.0
@@ -131,35 +127,29 @@ def _probe_directions(dimension: int, rng: np.random.Generator, n_gaussian: int 
     return dirs
 
 
-def measure_q(
-    spec: QuantizerSpec,
-    dimension: int,
-    trials: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Estimate the relative-variance constant of the quantizer.
+def measure_q(spec: QuantizerSpec, dimension: int) -> float:
+    """Certified relative-variance constant: an upper bound on
+    E||Q(x)-x||^2 / ||x||^2 that holds for every nonzero x in R^dimension.
 
-    Samples unit directions x, estimates E||Q(x)-x||^2/||x||^2 for each with
-    `trials` Monte-Carlo draws, and returns the maximum over directions --
-    the tightest constant observed for the uniform variance bound. The result
-    is stored on the spec as measured_q.
+    With p_i the upper-level probability of coordinate i, the ratio is
+    sum_i p_i(1-p_i) / s^2 (see expected_error_ratio). Two bounds hold for
+    every x: p(1-p) <= 1/4 gives d/(4s^2), and p_i <= s|x_i|/||x|| with
+    ||x||_1 <= sqrt(d)||x|| gives sqrt(d)/s (the QSGD variance lemma,
+    Alistarh et al., NeurIPS 2017). Returns their minimum; 0 for identity.
     """
     if spec.is_identity:
-        spec.measured_q = 0.0
         return 0.0
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
     s = spec.levels
-    worst = 0.0
-    for x in _probe_directions(dimension, rng):
-        scaled = np.abs(x) * s  # ||x|| == 1
-        lower = np.clip(np.floor(scaled), 0, s - 1)
-        p_upper = scaled - lower
-        u = rng.random((trials, dimension))
-        zeta = (lower + (u < p_upper)) / s
-        err = np.sign(x) * zeta - x
-        worst = max(worst, float(np.mean(np.sum(err * err, axis=1))))
-    spec.measured_q = worst
-    return worst
+    return min(dimension / (4 * s * s), math.sqrt(dimension) / s)
+
+
+def typical_q(spec: QuantizerSpec, dimension: int) -> float:
+    """Exact ratio maximized over a fixed probe set; never above measure_q.
+
+    Reported next to the certified constant to show how much of it typical
+    inputs use. The probe set is drawn from a fixed generator, so the value
+    depends only on the spec and the dimension.
+    """
+    if spec.is_identity:
+        return 0.0
+    return max(expected_error_ratio(spec, x) for x in _probe_directions(dimension, np.random.default_rng(0)))

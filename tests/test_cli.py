@@ -88,6 +88,8 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         q = summary["config"]["q"]
         assert q[0] > q[1] > 0.0 and q[2] == 0.0
+        assert q == [2 / 64, 2 / 256, 0.0]  # min(d/(4s^2), sqrt(d)/s) at d = 2
+        assert all(t <= v for t, v in zip(summary["config"]["q_typical"], q))
 
     def test_missing_key_raises_config_error(self, tmp_path):
         cfg = quad_config(tmp_path)
@@ -263,6 +265,30 @@ class TestMainEntry:
         )
         assert main(["run", self.write(tmp_path, cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "rounds, quantizers",
+        [
+            (30, None),
+            (30, [{"kind": "stochastic_levels", "levels": s} for s in (4, 8, 12)]),
+            (25, None),  # the loss overflows before the model does
+        ],
+        ids=["plain", "quantized", "loss_overflow"],
+    )
+    def test_divergence_exit_four(self, tmp_path, capsys, rounds, quantizers):
+        # lr far above the feasible step: the model overflows within 30 rounds
+        cfg = quad_config(
+            tmp_path,
+            task={"kind": "quadratic", "dimension": 4, "init_scale": 1.0},
+            schedule={"taus": [5, 2, 2], "rounds": rounds},
+            lr=5.0,
+            quantizers=quantizers,
+        )
+        assert main(["run", self.write(tmp_path, cfg)]) == 4
+        captured = capsys.readouterr()
+        assert "diverged: " in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_theory_subcommand(self, tmp_path, capsys):
         assert main(["theory", self.write(tmp_path, quad_config(tmp_path))]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -294,6 +320,7 @@ class TestMainEntry:
         assert main(["measure-q", self.write(tmp_path, cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["q"][0] > out["q"][1] > 0.0 == out["q"][2]
+        assert all(t <= q for t, q in zip(out["q_typical"], out["q"]))
 
     def test_compare_depths_subcommand(self, tmp_path, capsys):
         cfg = quad_config(
