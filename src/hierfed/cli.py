@@ -342,6 +342,20 @@ def _json_safe(obj):
     return obj
 
 
+def _optimizer_block(res: gp_optimizer.OptimizerResult) -> dict:
+    """The optimizer result as reported by `run` and `optimize`."""
+    return {
+        "taus_continuous": list(res.taus_continuous),
+        "taus_integer": list(res.taus_integer),
+        "objective_continuous": res.objective_continuous,
+        "objective_integer": res.objective_integer,
+        "iterations": res.iterations,
+        "newton_steps": res.newton_steps,
+        "converged": res.converged,
+        "slack": res.slack,
+    }
+
+
 def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     """Execute one configured run; write metrics.csv and summary.json."""
     seed = int(_require(cfg, "seed"))
@@ -367,15 +381,7 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
         )
         res = gp_optimizer.optimize(spec)
         taus = res.taus_integer
-        optimizer_result = {
-            "taus_continuous": list(res.taus_continuous),
-            "taus_integer": list(res.taus_integer),
-            "objective_continuous": res.objective_continuous,
-            "objective_integer": res.objective_integer,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "slack": res.slack,
-        }
+        optimizer_result = _optimizer_block(res)
     else:
         taus = tuple(int(v) for v in _require(scfg, "taus", "schedule"))
     sched = engine.Schedule(taus, rounds)
@@ -400,8 +406,8 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
         accuracy = task.accuracy(metrics.final_model, pool.holdout_features, pool.holdout_labels)
 
     summary = {
-        "final_loss": metrics.loss[-1],
-        "final_grad_norm_sq": metrics.grad_norm_sq[-1],
+        "final_loss": metrics.final_loss,
+        "final_grad_norm_sq": metrics.final_grad_norm_sq,
         "mean_grad_norm_sq": metrics.mean_grad_norm_sq(),
         "final_accuracy": accuracy,
         "round_latency": per_round,
@@ -478,9 +484,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
         with open(Path(sub["output_dir"]) / "metrics.csv") as fh:
             reader = csv.DictReader(fh)
             hit_round, hit_time = None, None
-            final_loss = None
             for rec in reader:
-                final_loss = float(rec["loss"])
                 if hit_round is None and float(rec["grad_norm_sq"]) <= threshold:
                     hit_round = int(rec["round"])
                     hit_time = float(rec["cumulative_time"])
@@ -490,7 +494,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
                 "rounds_to_threshold": hit_round,
                 "time_to_threshold": hit_time,
                 "round_latency": summary["round_latency"],
-                "final_loss": final_loss,
+                "final_loss": summary["final_loss"],
             }
         )
 
@@ -534,15 +538,7 @@ def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
         latency=lat,
     )
     res = gp_optimizer.optimize(spec)
-    out = {
-        "taus_continuous": list(res.taus_continuous),
-        "taus_integer": list(res.taus_integer),
-        "objective_continuous": res.objective_continuous,
-        "objective_integer": res.objective_integer,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "slack": res.slack,
-    }
+    out = _optimizer_block(res)
     if oracle:
         best, best_val = gp_optimizer.brute_force(spec, tau_max)
         out["oracle_taus"] = list(best)

@@ -66,13 +66,16 @@ class Schedule:
 
 @dataclass
 class RunMetrics:
-    """Per-round trajectory statistics plus the final model."""
+    """Per-round trajectory statistics, each taken at the start of its round,
+    plus the final model and its loss and squared gradient norm."""
 
     loss: list[float] = field(default_factory=list)
     grad_norm_sq: list[float] = field(default_factory=list)
     round_latency: list[float] = field(default_factory=list)
     cumulative_time: list[float] = field(default_factory=list)
     final_model: np.ndarray | None = None
+    final_loss: float | None = None
+    final_grad_norm_sq: float | None = None
 
     @property
     def rounds(self) -> int:
@@ -126,16 +129,22 @@ def _node_weights(topology: Topology, task: Task, weighted: bool, exact: bool):
     return weights
 
 
-def _record(metrics: RunMetrics, task: Task, w: np.ndarray, weighted: bool, latency: float) -> None:
+def _evaluate(task: Task, w: np.ndarray, weighted: bool) -> tuple[float, float]:
+    """Global loss and squared global-gradient norm at w."""
     loss_fn = flat_global_loss(task, weighted=weighted)
-    metrics.loss.append(float(loss_fn(w)))
     if weighted:
         sizes = task.dataset_sizes()
         total = sum(sizes)
         g = task.global_gradient(w, weights=[s / total for s in sizes])
     else:
         g = task.global_gradient(w)
-    metrics.grad_norm_sq.append(float(np.dot(g, g)))
+    return float(loss_fn(w)), float(np.dot(g, g))
+
+
+def _record(metrics: RunMetrics, task: Task, w: np.ndarray, weighted: bool, latency: float) -> None:
+    loss, grad_norm_sq = _evaluate(task, w, weighted)
+    metrics.loss.append(loss)
+    metrics.grad_norm_sq.append(grad_norm_sq)
     metrics.round_latency.append(latency)
     prev = metrics.cumulative_time[-1] if metrics.cumulative_time else 0.0
     metrics.cumulative_time.append(prev + latency)
@@ -156,8 +165,8 @@ def run(
     """Execute the full nested loop for schedule.global_rounds rounds.
 
     Raises Diverged, for float models, as soon as the recorded loss or
-    gradient norm or the model after a round is non-finite, or when a hop's
-    quantizer meets a non-finite delta.
+    gradient norm (including the final model's) or the model after a round
+    is non-finite, or when a hop's quantizer meets a non-finite delta.
     """
     n_layers = topology.num_layers
     if len(quantizers) != n_layers:
@@ -230,6 +239,9 @@ def run(
             raise Diverged(f"round {t}: model is not finite")
 
     metrics.final_model = w
+    metrics.final_loss, metrics.final_grad_norm_sq = _evaluate(task, w, weighted)
+    if not exact and not (np.isfinite(metrics.final_loss) and np.isfinite(metrics.final_grad_norm_sq)):
+        raise Diverged("final model: loss or gradient norm is not finite")
     return metrics
 
 
@@ -278,4 +290,5 @@ def run_fedavg_reference(
             update = update + client_w[i] * acc
         w = w + update
     metrics.final_model = w
+    metrics.final_loss, metrics.final_grad_norm_sq = _evaluate(task, w, weighted)
     return metrics

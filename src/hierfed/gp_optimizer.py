@@ -10,8 +10,14 @@ solves the resulting standard GP.
 In log variables the inner problem collapses further: at the optimum the
 ratio constraint is active, so delta can be eliminated in closed form and
 what remains is minimizing a convex log-sum-exp expression over
-{log G <= 0, tau >= 1}. That small smooth convex program is solved with a
-damped-Newton log-barrier method, so no external solver is needed.
+{log G <= 0, tau >= 1}. That small smooth convex program is solved with the
+standard log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3),
+so no external solver is needed: each centering stops when half the squared
+Newton decrement is at most 1e-10, the barrier parameter grows 20x per phase
+until the duality gap m/t is at most 1e-10 max(1, |f|), and the line search
+backtracks on values only, first to stay strictly feasible and then, away
+from the center, for Armijo decrease. A phase or line search that exceeds
+its bound raises SubproblemFailure.
 """
 
 from __future__ import annotations
@@ -105,6 +111,7 @@ class OptimizerResult:
     converged: bool
     slack: float
     delta_history: list[float] = field(default_factory=list)
+    newton_steps: int = 0  # over all inner barrier solves
 
 
 def _check_taus(taus) -> np.ndarray:
@@ -223,6 +230,24 @@ def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
     return value, grad, hess
 
 
+def _lse_value(exps: np.ndarray, logc: np.ndarray, y: np.ndarray) -> float:
+    """log-sum-exp value alone, for line-search trial points."""
+    z = exps @ y + logc
+    m = float(np.max(z))
+    return m + math.log(float(np.sum(np.exp(z - m))))
+
+
+# Barrier-method settings of _solve_inner (Boyd & Vandenberghe, Convex
+# Optimization, 11.3): one tolerance for centering and for the duality gap.
+_EPS = 1e-10
+_T_GROWTH = 20.0
+_MAX_PHASES = 40
+_MAX_NEWTON = 100  # per centering phase
+_FULL_STEP = 1e-3  # lambda^2/2 below which the Newton step is taken whole
+_ARMIJO = 0.01
+_MAX_BACKTRACK = 60
+
+
 def _solve_inner(
     obj_exps: np.ndarray,
     obj_logc: np.ndarray,
@@ -230,56 +255,65 @@ def _solve_inner(
     g_exps: np.ndarray,
     g_logc: np.ndarray,
     y0: np.ndarray,
-) -> np.ndarray:
-    """Minimize LSE(obj)(y) - lin . y  s.t.  LSE(g)(y) <= 0 and y >= 0.
+) -> tuple[np.ndarray, int]:
+    """Minimize f(y) = LSE(obj)(y) - lin . y  s.t.  LSE(g)(y) <= 0 and y >= 0.
 
-    Log-barrier path following with damped Newton steps. y0 must be strictly
-    feasible; returns the (near-)optimal y.
+    Barrier method: for t = 1, 20, 400, ... center t f(y) - log(-LSE(g)(y))
+    - sum log y with Newton steps until lambda^2/2 <= _EPS, where lambda^2 =
+    -grad . step is the Newton decrement; stop once the duality gap m/t of
+    the m = n + 1 constraints is at most _EPS max(1, |f|). The line search
+    evaluates values only: it halves the step until the trial point is
+    strictly feasible and, while lambda^2/2 > _FULL_STEP, until it also
+    passes the Armijo test; closer to the center, where the decrease drops
+    below the roundoff of the barrier value, the whole step is taken. y0
+    must be strictly feasible. Returns the optimal y and the number of
+    Newton steps taken; raises SubproblemFailure instead of returning an
+    unconverged point.
     """
-    n = len(y0)
+    m = len(y0) + 1
     y = y0.copy()
 
-    def parts(yv):
-        r, gr, hr = _lse(obj_exps, obj_logc, yv)
-        c, gc, hc = _lse(g_exps, g_logc, yv)
-        return r - float(lin @ yv), gr - lin, hr, c, gc, hc
+    def barrier_value(yv: np.ndarray, t: float, c: float) -> float:
+        f = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv)
+        return t * f - math.log(-c) - float(np.sum(np.log(yv)))
 
-    def barrier(yv, t):
-        r, gr, hr, c, gc, hc = parts(yv)
-        if c >= 0.0 or np.any(yv <= 0.0):
-            return math.inf, None, None
-        val = t * r - math.log(-c) - float(np.sum(np.log(yv)))
-        grad = t * gr - gc / c - 1.0 / yv
-        hess = t * hr + hc / (-c) + np.outer(gc, gc) / c**2 + np.diag(1.0 / yv**2)
-        return val, grad, hess
-
+    steps = 0
     t = 1.0
-    for _ in range(16):
-        for _ in range(60):
-            val, grad, hess = barrier(y, t)
-            if val is math.inf or grad is None:
-                raise SubproblemFailure("barrier left the feasible region")
+    for _ in range(_MAX_PHASES):
+        for _ in range(_MAX_NEWTON):
+            r, gr, hr = _lse(obj_exps, obj_logc, y)
+            c, gc, hc = _lse(g_exps, g_logc, y)
+            f = r - float(lin @ y)
+            grad = t * (gr - lin) - gc / c - 1.0 / y
+            hess = t * hr - hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2)
             try:
-                step = np.linalg.solve(hess + 1e-12 * np.eye(n), -grad)
+                step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError as exc:
                 raise SubproblemFailure("singular Newton system") from exc
-            decrement = float(-grad @ step)
-            if decrement < 1e-12:
+            lam2 = float(-grad @ step)
+            if lam2 / 2 <= _EPS:
                 break
+            damped = lam2 / 2 > _FULL_STEP
+            value = t * f - math.log(-c) - float(np.sum(np.log(y)))
             alpha = 1.0
-            for _ in range(60):
+            for _ in range(_MAX_BACKTRACK):
                 cand = y + alpha * step
-                cand_val, _, _ = barrier(cand, t)
-                if cand_val <= val - 1e-4 * alpha * decrement:
-                    y = cand
+                c_cand = _lse_value(g_exps, g_logc, cand) if np.all(cand > 0.0) else 0.0
+                if c_cand < 0.0 and (
+                    not damped or barrier_value(cand, t, c_cand) <= value - _ARMIJO * alpha * lam2
+                ):
                     break
                 alpha *= 0.5
             else:
-                break
-        t *= 10.0
-        if (n + 1) / t < 1e-12:
-            break
-    return y
+                raise SubproblemFailure(f"line search stalled at t = {t:.3g}")
+            y = cand
+            steps += 1
+        else:
+            raise SubproblemFailure(f"centering took over {_MAX_NEWTON} Newton steps at t = {t:.3g}")
+        if m / t <= _EPS * max(1.0, abs(f)):
+            return y, steps
+        t *= _T_GROWTH
+    raise SubproblemFailure(f"duality gap above tolerance after {_MAX_PHASES} barrier phases")
 
 
 def _strictly_feasible_start(spec: ObjectiveSpec, taus: np.ndarray) -> np.ndarray:
@@ -296,11 +330,22 @@ def _strictly_feasible_start(spec: ObjectiveSpec, taus: np.ndarray) -> np.ndarra
     raise InfeasibleStart("no strictly feasible point near the given taus")
 
 
-def agma_step(
-    spec: ObjectiveSpec, taus, delta: float
-) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+class AgmaStep(tuple):
+    """agma_step's (taus, delta, betas): unpacks as that 3-tuple and also
+    carries the inner solve's Newton step count."""
+
+    newton_steps: int
+
+    def __new__(cls, taus: tuple[float, ...], delta: float, betas: tuple[float, ...], newton_steps: int):
+        self = super().__new__(cls, (taus, delta, betas))
+        self.newton_steps = newton_steps
+        return self
+
+
+def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
     """One outer iteration: refresh the geometric-mean weights at the current
-    point, solve the resulting standard GP, and return (taus, delta, betas).
+    point, solve the resulting standard GP, and return (taus, delta, betas)
+    as an AgmaStep.
 
     The weights are beta_0 = (err_weight + delta) / (J- + delta) for the
     constant+delta group and beta_k = u_k(tau) / (J- + delta) for each
@@ -336,13 +381,13 @@ def agma_step(
         return math.exp(r / beta0) - spec.error_weight
 
     start = _strictly_feasible_start(spec, arr)
-    y_new = _solve_inner(obj_exps, obj_logc, lin, g_exps, g_logc, start)
+    y_new, newton_steps = _solve_inner(obj_exps, obj_logc, lin, g_exps, g_logc, start)
     # the incoming point is subproblem-feasible too (geometric-mean weights
     # match there, so its delta equals the current one); keep the better point
     candidates = [(delta_at(y_new), y_new), (delta_at(y_cur), y_cur)]
     new_delta, y_best = min(candidates, key=lambda c: c[0])
     new_taus = tuple(float(v) for v in np.exp(y_best))
-    return new_taus, new_delta, (beta0, *betas.tolist())
+    return AgmaStep(new_taus, new_delta, (beta0, *betas.tolist()), newton_steps)
 
 
 def _round_with_repair(spec: ObjectiveSpec, taus: tuple[float, ...]) -> tuple[int, ...]:
@@ -378,14 +423,16 @@ def optimize(
         raise NoFeasiblePoint(
             f"even tau = 1 misses the deadline (G = {g_value(spec, ones):.6g})"
         )
-    taus: tuple[float, ...] = tuple(ones)
+    taus: tuple[float, ...] = (1.0,) * n
     delta = max(j_plus(spec, ones) - j_minus(spec, ones), tolerance)
     history = [delta]
     converged = False
-    iterations = 0
+    iterations = newton_steps = 0
     if g_value(spec, ones) < 1.0 - 1e-12:
         for iterations in range(1, max_iters + 1):
-            new_taus, new_delta, _ = agma_step(spec, taus, delta)
+            step = agma_step(spec, taus, delta)
+            new_taus, new_delta, _ = step
+            newton_steps += step.newton_steps
             if new_delta < delta:  # accept improvements only, so the sequence
                 taus, delta = new_taus, new_delta  # is non-increasing by construction
             history.append(delta)
@@ -406,8 +453,9 @@ def optimize(
         objective_integer=objective(spec, taus_int),
         iterations=iterations,
         converged=converged,
-        slack=slack,
+        slack=float(slack),
         delta_history=history,
+        newton_steps=newton_steps,
     )
 
 

@@ -69,6 +69,9 @@ def quantize(spec: QuantizerSpec, x: np.ndarray, rng: np.random.Generator | None
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return np.zeros_like(x)
+    # finite entries near 1e154 and above overflow the norm
+    if not math.isfinite(norm):
+        raise NonFiniteInput("quantizer input norm overflows")
     s = spec.levels
     ratio = np.abs(x) / norm
     scaled = ratio * s

@@ -290,6 +290,16 @@ def test_criterion_06_optimizer_vs_oracle():
     _report(6, "20 random instances within 2% of brute force, delta non-increasing", started)
 
 
+def test_criterion_06_newton_steps_per_agma_step():
+    # a count, not a timer: centering that roundoff keeps from converging
+    # runs every barrier phase to its cap, about 230 steps per AGMA step
+    rng = np.random.default_rng(666)
+    for trial in range(20):
+        spec = _optimizer_spec(rng, int(rng.integers(2, 4)))
+        result = optimize(spec)
+        assert result.newton_steps <= 120 * max(result.iterations, 1), trial
+
+
 def test_criterion_07_closed_form_special_case():
     started = time.monotonic()
     # negligible communication, no quantization, speed-dominant weighting

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -235,6 +236,23 @@ class TestCompareDepths:
         assert rows[0]["final_loss"] == pytest.approx(summary["final_loss"], rel=1e-12)
 
 
+class TestFinalMetrics:
+    def test_summary_describes_returned_model(self, tmp_path):
+        # streams are keyed by round, so row 3 of a 4-round run is the model
+        # a 3-round run of the same config returns
+        summaries, rows = {}, {}
+        for rounds in (3, 4):
+            out = tmp_path / f"r{rounds}"
+            cfg = quad_config(tmp_path, schedule={"taus": [2, 1, 1], "rounds": rounds}, output_dir=str(out))
+            summaries[rounds] = run_experiment(cfg)
+            rows[rounds] = list(csv.DictReader(open(out / "metrics.csv")))
+        short = summaries[3]
+        assert len(rows[3]) == 3
+        assert short["final_loss"] == float(rows[4][3]["loss"])
+        assert short["final_grad_norm_sq"] == float(rows[4][3]["grad_norm_sq"])
+        assert short["final_loss"] < float(rows[3][2]["loss"])
+
+
 class TestMainEntry:
     def write(self, tmp_path, cfg):
         path = tmp_path / "cfg.yaml"
@@ -307,6 +325,17 @@ class TestMainEntry:
         assert main(["optimize", self.write(tmp_path, cfg), "--oracle", "--tau-max", "12"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["oracle_gap"] <= 1.02
+
+    def test_optimizer_block_shared_by_run_and_optimize(self, tmp_path, capsys):
+        cfg = quad_config(
+            tmp_path,
+            schedule={"rounds": 4, "optimize": True},
+            latency={"deadline": 4000.0, "cycles_per_sample": 1e7},
+        )
+        assert main(["optimize", self.write(tmp_path, cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert type(out["newton_steps"]) is int and out["newton_steps"] > 0
+        assert run_experiment(cfg)["optimizer"] == out
 
     def test_measure_q_subcommand(self, tmp_path, capsys):
         cfg = quad_config(

@@ -5,6 +5,7 @@ import pytest
 
 from hierfed.engine import (
     DimensionMismatch,
+    Diverged,
     QuantizerCountMismatch,
     RunMetrics,
     Schedule,
@@ -12,7 +13,7 @@ from hierfed.engine import (
     run_fedavg_reference,
 )
 from hierfed.quantizer import identity, stochastic
-from hierfed.tasks import LocalDataset, QuadraticTask
+from hierfed.tasks import LocalDataset, QuadraticTask, flat_global_loss
 from hierfed.theory import TheoryParams, corollary1_condition
 from hierfed.topology import build_topology
 
@@ -103,6 +104,25 @@ class TestRunBasics:
         with pytest.raises(DimensionMismatch):
             run(task, FOUR_DEV, Schedule((1, 1), 1), [identity()] * 2, 0.1, seed=0,
                 w0=np.zeros(3))
+
+    def test_final_metrics_describe_returned_model(self):
+        rng = np.random.default_rng(3)
+        task = QuadraticTask(
+            [LocalDataset(features=rng.normal(size=(6, 2))) for _ in range(4)], batch_size=3
+        )
+        m = run(task, FOUR_DEV, Schedule((2, 1), 3), [stochastic(4), identity()], 0.05, seed=7,
+                w0=np.full(2, 3.0))
+        assert m.rounds == 3
+        g = task.global_gradient(m.final_model)
+        assert m.final_loss == float(flat_global_loss(task)(m.final_model))
+        assert m.final_grad_norm_sq == float(np.dot(g, g))
+        assert m.final_loss < m.loss[-1]
+
+    def test_quantizer_norm_overflow_diverges_same_round(self):
+        # finite deltas of 1e154 per coordinate overflow the quantizer's norm
+        task = point_task([[1e150] * 4] * 4)
+        with np.errstate(over="ignore"), pytest.raises(Diverged, match="round 0: .*norm overflows"):
+            run(task, FOUR_DEV, Schedule((1, 1), 2), [stochastic(4), identity()], 1e4, seed=0)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hierfed import gp_optimizer
 from hierfed.gp_optimizer import (
     InfeasibleStart,
     NoFeasiblePoint,
@@ -10,6 +11,7 @@ from hierfed.gp_optimizer import (
     ObjectiveSpec,
     RegimeViolation,
     SearchTooLarge,
+    SubproblemFailure,
     agma_step,
     brute_force,
     closed_form_computation_limited,
@@ -183,6 +185,44 @@ class TestOptimize:
         res = optimize(spec)
         assert g_value(spec, res.taus_integer) <= 1.0
         assert res.objective_integer == pytest.approx(objective(spec, res.taus_integer), rel=1e-15)
+
+
+    def test_result_fields_are_plain_python(self):
+        # the first spec accepts no AGMA step, so the result keeps the start point
+        specs = [
+            make_spec(0.2, (4,), 16, (0.2, 0.1), [0.5], deadline=500.0),
+            random_spec(np.random.default_rng(5)),
+        ]
+        for spec in specs:
+            res = optimize(spec)
+            assert all(type(v) is float for v in res.taus_continuous)
+            assert all(type(v) is int for v in res.taus_integer)
+            floats = [res.objective_continuous, res.objective_integer, res.slack, *res.delta_history]
+            assert all(type(v) is float for v in floats)
+            assert type(res.iterations) is int and type(res.newton_steps) is int
+            assert type(res.converged) is bool
+
+    def test_newton_steps_sum_over_agma_steps(self):
+        spec = random_spec(np.random.default_rng(5))
+        res = optimize(spec)
+        taus, delta, total = (1.0,) * spec.n_layers, res.delta_history[0], 0
+        for _ in range(res.iterations):
+            step = agma_step(spec, taus, delta)
+            total += step.newton_steps
+            if step[1] < delta:
+                taus, delta = step[0], step[1]
+        assert res.iterations >= 1 and res.newton_steps == total > 0
+
+
+class TestInnerSolverBounds:
+    @pytest.mark.parametrize(
+        "bound, value", [("_MAX_BACKTRACK", 0), ("_MAX_NEWTON", 1), ("_MAX_PHASES", 1)]
+    )
+    def test_exhausted_bound_raises(self, monkeypatch, bound, value):
+        monkeypatch.setattr(gp_optimizer, bound, value)
+        spec = make_spec(1.0, (4,), 16, (0.0, 0.0), [0.5], deadline=500.0)
+        with pytest.raises(SubproblemFailure):
+            optimize(spec)
 
 
 class TestBracketConsistency:

@@ -55,6 +55,11 @@ class TestQuantize:
         with pytest.raises(NonFiniteInput):
             quantize(stochastic(4), np.array([1.0, np.nan]), np.random.default_rng(0))
 
+    def test_norm_overflow_rejected(self):
+        # every entry is finite, but ||x||^2 = 4e308 overflows
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
+            quantize(stochastic(4), np.full(4, 1e154), np.random.default_rng(0))
+
     def test_sign_preserved(self):
         rng = np.random.default_rng(2)
         x = np.array([1.0, -1.0, 2.0, -0.1])
