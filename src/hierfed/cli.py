@@ -358,6 +358,11 @@ def _optimizer_block(res: gp_optimizer.OptimizerResult) -> dict:
 
 def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     """Execute one configured run; write metrics.csv and summary.json."""
+    return _run(cfg, output_dir)[0]
+
+
+def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.RunMetrics]:
+    """run_experiment that also returns the run's in-memory metrics."""
     seed = int(_require(cfg, "seed"))
     topo = _build_topology(cfg)
     n_layers = topo.num_layers
@@ -435,7 +440,7 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     # serialize first: a non-finite value must not leave a truncated file behind
     text = json.dumps(_json_safe(summary), indent=2, allow_nan=False)
     (out / "summary.json").write_text(text + "\n", encoding="utf-8")
-    return summary
+    return summary, metrics
 
 
 def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
@@ -480,19 +485,13 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             sub["quantizers"] = list(qcfg)[-depth:]  # keep the upper hops' settings
         sub["output_dir"] = str(out_dir / f"depth_{depth}")
 
-        summary = run_experiment(sub)
-        with open(Path(sub["output_dir"]) / "metrics.csv") as fh:
-            reader = csv.DictReader(fh)
-            hit_round, hit_time = None, None
-            for rec in reader:
-                if hit_round is None and float(rec["grad_norm_sq"]) <= threshold:
-                    hit_round = int(rec["round"])
-                    hit_time = float(rec["cumulative_time"])
+        summary, metrics = _run(sub)
+        hit = next((t for t, g in enumerate(metrics.grad_norm_sq) if g <= threshold), None)
         rows.append(
             {
                 "depth": depth,
-                "rounds_to_threshold": hit_round,
-                "time_to_threshold": hit_time,
+                "rounds_to_threshold": hit,
+                "time_to_threshold": None if hit is None else metrics.cumulative_time[hit],
                 "round_latency": summary["round_latency"],
                 "final_loss": summary["final_loss"],
             }

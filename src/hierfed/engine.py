@@ -1,22 +1,24 @@
 """Nested multi-layer training loop with per-hop quantized delta aggregation.
 
-One global round runs bottom-up: devices take tau_1 local SGD steps from the
-model their layer-1 server last broadcast; after each such burst the server
-adds the count-weighted (or dataset-size-weighted) sum of quantized deltas to
-its own model and broadcasts it back down; a layer-n server repeats this for
-tau_{n+1} iterations before its own delta travels up, and the cloud folds the
-top-level deltas into the global model once per round.
+A global round is prod(taus) device steps, run level-synchronously: all nodes
+of a layer move in lock-step, so each layer's models form one matrix. Every
+tau_1 steps each layer-1 server adds the count-weighted (or dataset-size-
+weighted) sum of its children's quantized deltas to its model and broadcasts
+it back down; a layer-n server repeats this for tau_{n+1} iterations before
+its own delta travels up, and the cloud folds the top-level deltas into the
+global model once per round.
 
-Every stochastic draw comes from an addressable stream keyed by the master
-seed plus (purpose, round, node) indices, so two runs with coupled seeds
-consume identical randomness regardless of tree shape. With exact-rational
-model vectors (numpy object arrays of Fraction) the whole trajectory is
-computed without rounding, which is how the flat-averaging collapse is
-checked bit-for-bit.
+Draws come from addressable streams keyed by the master seed: batches per
+(round, device), whatever the tree shape, so nested and flat runs with coupled
+seeds sample identical batches; quantizer dither per (round, hop), one call
+per hop on its whole delta matrix. With exact-rational models (numpy object
+arrays of Fraction) no step rounds, which is how the flat-averaging collapse
+is checked bit-for-bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,10 +91,8 @@ def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, *key)))
 
 
-def _zeros_like(w: np.ndarray) -> np.ndarray:
-    if w.dtype == object:
-        return np.array([Fraction(0)] * len(w), dtype=object)
-    return np.zeros_like(w)
+def _zeros(shape, exact: bool) -> np.ndarray:
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
 
 
 def _node_weights(topology: Topology, task: Task, weighted: bool, exact: bool):
@@ -129,16 +129,31 @@ def _node_weights(topology: Topology, task: Task, weighted: bool, exact: bool):
     return weights
 
 
+def _rank_slots(topology: Topology, weights):
+    """slots[layer-1][k] = (parents, their k-th children, those children's weights
+    as a column); summing rank by rank keeps each parent's child order."""
+    slots = []
+    for kids, per_parent in zip(topology.children, weights):
+        ranks = []
+        for k in range(max(map(len, kids))):
+            ps = [p for p, c in enumerate(kids) if len(c) > k]
+            col = np.array([[per_parent[p][k]] for p in ps])  # object dtype for Fractions
+            ranks.append((np.array(ps), np.array([kids[p][k] for p in ps]), col))
+        slots.append(ranks)
+    return slots
+
+
 def _evaluate(task: Task, w: np.ndarray, weighted: bool) -> tuple[float, float]:
-    """Global loss and squared global-gradient norm at w."""
+    """Global loss and squared global-gradient norm at w; overflow gives inf or NaN silently."""
     loss_fn = flat_global_loss(task, weighted=weighted)
-    if weighted:
-        sizes = task.dataset_sizes()
-        total = sum(sizes)
-        g = task.global_gradient(w, weights=[s / total for s in sizes])
-    else:
-        g = task.global_gradient(w)
-    return float(loss_fn(w)), float(np.dot(g, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if weighted:
+            sizes = task.dataset_sizes()
+            total = sum(sizes)
+            g = task.global_gradient(w, weights=[s / total for s in sizes])
+        else:
+            g = task.global_gradient(w)
+        return float(loss_fn(w)), float(np.dot(g, g))
 
 
 def _record(metrics: RunMetrics, task: Task, w: np.ndarray, weighted: bool, latency: float) -> None:
@@ -184,56 +199,43 @@ def run(
         raise DimensionMismatch(f"w0 has dim {len(w)}, task needs {task.dim}")
     exact = w.dtype == object
 
-    taus = schedule.taus
-    weights = _node_weights(topology, task, weighted, exact)
-    metrics = RunMetrics()
+    n_dev = task.n_devices
+    # hop l completes every spans[l-1] device steps: one burst of layer l-1
+    spans = [math.prod(schedule.taus[:hop]) for hop in range(1, n_layers + 1)]
+    slots = _rank_slots(topology, _node_weights(topology, task, weighted, exact))
+    parents = [np.asarray(p) for p in topology.parents]
 
+    metrics = RunMetrics()
     for t in range(schedule.global_rounds):
         _record(metrics, task, w, weighted, round_latency)
         # a finite model far out can still overflow its loss or gradient norm
         if not exact and not (np.isfinite(metrics.loss[-1]) and np.isfinite(metrics.grad_norm_sq[-1])):
             raise Diverged(f"round {t}: loss or gradient norm is not finite")
-        batch_rngs = {i: _stream(seed, _BATCH_STREAM, t, i) for i in range(task.n_devices)}
-        quant_rngs: dict[tuple[int, int], np.random.Generator] = {}
-
-        def edge_rng(layer: int, child: int) -> np.random.Generator:
-            key = (layer, child)
-            if key not in quant_rngs:
-                quant_rngs[key] = _stream(seed, _QUANT_STREAM, t, layer, child)
-            return quant_rngs[key]
-
-        def burst(layer: int, node: int, anchor: np.ndarray) -> np.ndarray:
-            """One burst of `node`: its iterations between transmissions up.
-
-            Returns the node's accumulated model delta relative to `anchor`.
-            """
-            if layer == 0:
-                acc = _zeros_like(anchor)
-                rng = batch_rngs[node]
-                for _ in range(taus[0]):
-                    g = task.stochastic_gradient(node, anchor + acc, rng)
-                    acc = acc - lr * g
-                return acc
-            acc = _zeros_like(anchor)
-            iterations = 1 if layer == n_layers else taus[layer]
-            for _ in range(iterations):
-                model = anchor + acc
-                kids = topology.children_of(layer, node)
-                for k, child in enumerate(kids):
-                    delta = burst(layer - 1, child, model)
-                    spec = quantizers[layer - 1]
-                    payload = (
-                        delta
-                        if spec.is_identity
-                        else quantize(spec, delta, edge_rng(layer, child))
-                    )
-                    acc = acc + weights[layer - 1][node][k] * payload
-            return acc
-
+        batch_rngs = [_stream(seed, _BATCH_STREAM, t, i) for i in range(n_dev)]
+        hop_rngs = [_stream(seed, _QUANT_STREAM, t, hop) for hop in range(1, n_layers + 1)]
+        # anchor[l] / acc[l]: each layer-l node's model at the start of its
+        # current burst, and its update since then
+        anchor = [None] * n_layers + [w[None, :]]
+        acc = [_zeros((size, task.dim), exact) for size in topology.layer_sizes]
+        top = n_layers  # layers below `top` start new bursts from their parents' models
         try:
-            w = w + burst(n_layers, 0, w)
+            for step in range(1, spans[-1] + 1):
+                for layer in range(top - 1, -1, -1):
+                    anchor[layer] = (anchor[layer + 1] + acc[layer + 1])[parents[layer]]
+                    acc[layer] = _zeros(acc[layer].shape, exact)
+                model = anchor[0] + acc[0]
+                grads = np.array([task.stochastic_gradient(i, model[i], batch_rngs[i]) for i in range(n_dev)])
+                acc[0] = acc[0] - lr * grads
+                top = 0
+                while top < n_layers and step % spans[top] == 0:
+                    spec, delta = quantizers[top], acc[top]
+                    payload = delta if spec.is_identity else quantize(spec, delta, hop_rngs[top])
+                    top += 1
+                    for ps, kids, wts in slots[top - 1]:
+                        acc[top][ps] = acc[top][ps] + wts * payload[kids]
         except NonFiniteInput as exc:
             raise Diverged(f"round {t}: {exc}") from exc
+        w = w + acc[n_layers][0]
         # object (Fraction) models are exact and cannot overflow
         if not exact and not np.all(np.isfinite(w)):
             raise Diverged(f"round {t}: model is not finite")
@@ -280,10 +282,10 @@ def run_fedavg_reference(
     metrics = RunMetrics()
     for t in range(global_rounds):
         _record(metrics, task, w, weighted, round_latency)
-        update = _zeros_like(w)
+        update = _zeros(w.shape, exact)
         for i in range(n):
             rng = _stream(seed, _BATCH_STREAM, t, i)
-            acc = _zeros_like(w)
+            acc = _zeros(w.shape, exact)
             for _ in range(local_steps):
                 g = task.stochastic_gradient(i, w + acc, rng)
                 acc = acc - lr * g

@@ -53,11 +53,12 @@ def stochastic(levels: int) -> QuantizerSpec:
 
 
 def quantize(spec: QuantizerSpec, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply the quantizer to a real vector.
+    """Apply the quantizer to a real vector, or row by row to a (k, d) matrix.
 
     Identity returns x unchanged (same object; callers treat payloads as
-    read-only). The stochastic kind consumes one uniform draw per coordinate,
-    in index order, from `rng`. The all-zero vector maps to zero.
+    read-only). The stochastic kind scales each row by its own norm and
+    consumes one uniform draw per coordinate of each nonzero row, in order,
+    from `rng`; zero rows map to zero and draw nothing.
     """
     if spec.is_identity:
         return x
@@ -66,22 +67,24 @@ def quantize(spec: QuantizerSpec, x: np.ndarray, rng: np.random.Generator | None
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("quantizer input must be finite")
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return np.zeros_like(x)
+    rows = x.reshape(-1, x.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(rows, axis=1, keepdims=True)
     # finite entries near 1e154 and above overflow the norm
-    if not math.isfinite(norm):
+    if not np.all(np.isfinite(norm)):
         raise NonFiniteInput("quantizer input norm overflows")
+    out = np.zeros_like(rows)
+    live = norm[:, 0] > 0.0
+    rows, norm = rows[live], norm[live]
     s = spec.levels
-    ratio = np.abs(x) / norm
-    scaled = ratio * s
+    scaled = np.abs(rows) / norm * s
     lower = np.floor(scaled)
     # the boundary |x_i| == ||x|| lands exactly on level s/s
     np.clip(lower, 0, s - 1, out=lower)
     p_upper = scaled - lower
-    u = rng.random(x.shape)
-    zeta = (lower + (u < p_upper)) / s
-    return np.sign(x) * norm * zeta
+    u = rng.random(rows.shape)
+    out[live] = np.sign(rows) * norm * ((lower + (u < p_upper)) / s)
+    return out.reshape(x.shape)
 
 
 def expected_error_ratio(spec: QuantizerSpec, x: np.ndarray) -> float:

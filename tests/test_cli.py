@@ -292,6 +292,7 @@ class TestMainEntry:
         ],
         ids=["plain", "quantized", "loss_overflow"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_four(self, tmp_path, capsys, rounds, quantizers):
         # lr far above the feasible step: the model overflows within 30 rounds
         cfg = quad_config(

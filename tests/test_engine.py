@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hierfed.engine import (
+    _BATCH_STREAM,
     DimensionMismatch,
     Diverged,
     QuantizerCountMismatch,
     RunMetrics,
     Schedule,
+    _stream,
     run,
     run_fedavg_reference,
 )
@@ -134,6 +136,59 @@ class TestRunBasics:
         b = run(task, FOUR_DEV, Schedule((2, 2), 5), quants, 0.05, seed=42)
         assert np.all(a.final_model == b.final_model)
         assert a.loss == b.loss and a.grad_norm_sq == b.grad_norm_sq
+
+
+class CountingTask(QuadraticTask):
+    """Logs (device, generator, generator state before the call) per gradient call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def stochastic_gradient(self, device, w, rng, batch_size=None):
+        self.calls.append((device, rng, rng.bit_generator.state))
+        return super().stochastic_gradient(device, w, rng, batch_size)
+
+
+class TestDeviceStepContract:
+    """One gradient call per device per step, each from the device's own
+    (round, device) batch stream, whatever the tree shape."""
+
+    def _task(self, rng, n_dev):
+        return CountingTask(
+            [LocalDataset(features=rng.normal(size=(6, 2))) for _ in range(n_dev)], batch_size=3
+        )
+
+    def test_calls_and_streams(self):
+        rng = np.random.default_rng(60)
+        topo = random_3layer(rng)
+        n_dev, taus, rounds, seed = topo.n_devices, (3, 2, 2), 2, 61
+        task = self._task(rng, n_dev)
+        run(task, topo, Schedule(taus, rounds), [stochastic(4), stochastic(6), identity()], 0.05,
+            seed=seed)
+        steps = int(np.prod(taus))
+        assert len(task.calls) == rounds * n_dev * steps
+        for t in range(rounds):
+            block = task.calls[t * n_dev * steps : (t + 1) * n_dev * steps]
+            # level-synchronous: every step visits the devices in index order
+            assert [d for d, _, _ in block] == list(range(n_dev)) * steps
+            for i in range(n_dev):
+                mine = block[i::n_dev]
+                assert len({id(g) for _, g, _ in mine}) == 1
+                assert mine[0][2] == _stream(seed, _BATCH_STREAM, t, i).bit_generator.state
+
+    def test_depth_does_not_change_the_draws(self):
+        rng = np.random.default_rng(62)
+        topo = random_3layer(rng)
+        n_dev = topo.n_devices
+        flat_topo = build_topology([n_dev, 1], parents=[[0] * n_dev])
+        deep = self._task(rng, n_dev)
+        flat = CountingTask(deep.datasets, batch_size=3)
+        run(deep, topo, Schedule((2, 3, 2), 2), [stochastic(4), identity(), stochastic(8)], 0.05,
+            seed=63)
+        run(flat, flat_topo, Schedule((12,), 2), [identity()], 0.05, seed=63)
+        for i in range(n_dev):
+            assert [s for d, _, s in deep.calls if d == i] == [s for d, _, s in flat.calls if d == i]
 
 
 class TestCollapse:

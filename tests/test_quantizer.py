@@ -89,6 +89,40 @@ class TestQuantize:
             assert np.all(out2 == c * out1)
 
 
+class TestRowWise:
+    def test_rows_match_vector_calls_bitwise(self):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((6, 5)) * np.exp(rng.uniform(-3.0, 3.0, (6, 1)))
+        x[2] = 0.0
+        x[4] = [0.0, 3.0, 0.0, 4.0, 0.0]
+        for s in (1, 4, 9):
+            whole, one = np.random.default_rng(s), np.random.default_rng(s)
+            out = quantize(stochastic(s), x, whole)
+            expected = np.array([quantize(stochastic(s), row, one) for row in x])
+            assert out.shape == x.shape
+            assert np.array_equal(out, expected)
+            # five nonzero rows of five coordinates: 25 draws, none for the zero row
+            assert whole.bit_generator.state == one.bit_generator.state
+            assert whole.random() == np.random.default_rng(s).random(26)[25]
+
+    def test_zero_rows_map_to_zero(self):
+        out = quantize(stochastic(3), np.zeros((3, 4)), np.random.default_rng(0))
+        assert out.shape == (3, 4) and np.all(out == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_row_rejected(self, bad):
+        x = np.ones((3, 4))
+        x[1, 2] = bad
+        with pytest.raises(NonFiniteInput, match="finite"):
+            quantize(stochastic(4), x, np.random.default_rng(0))
+
+    def test_row_norm_overflow_rejected(self):
+        x = np.ones((3, 4))
+        x[2] = 1e154
+        with pytest.raises(NonFiniteInput, match="norm overflows"):
+            quantize(stochastic(4), x, np.random.default_rng(0))
+
+
 class TestMeasureQ:
     def test_identity_is_zero(self):
         spec = identity()

@@ -17,6 +17,7 @@ from hierfed.tasks import (
     make_quadratic_task,
     partition,
 )
+from hierfed.tasks import _sample_batch
 from hierfed.topology import build_topology
 
 FIG1 = build_topology([11, 4, 2, 1], parents=[[0, 0, 0, 1, 2, 2, 3, 3, 3, 3, 3], [0, 0, 1, 1], [0, 0]])
@@ -26,6 +27,33 @@ def point_task(centers, batch_size=1):
     """One sample per device at the given center: F_i(w) = ||w - a_i||^2 / 2."""
     ds = [LocalDataset(features=np.atleast_2d(np.asarray(c, dtype=float))) for c in centers]
     return QuadraticTask(ds, batch_size=batch_size)
+
+
+class TestSampleBatch:
+    def test_sorted_distinct_in_range(self):
+        rng = np.random.default_rng(50)
+        for size, batch in ((8, 4), (9, 1), (12, 11), (100, 37)):
+            for _ in range(50):
+                idx = _sample_batch(size, batch, rng)
+                assert len(idx) == batch
+                assert np.all(np.diff(idx) > 0)
+                assert 0 <= idx[0] and idx[-1] < size
+
+    def test_inclusion_frequency_uniform(self):
+        size, batch, trials = 10, 3, 20_000
+        rng = np.random.default_rng(51)
+        hits = np.zeros(size)
+        for _ in range(trials):
+            hits[_sample_batch(size, batch, rng)] += 1
+        p = batch / size
+        se = math.sqrt(p * (1 - p) / trials)
+        assert np.all(np.abs(hits / trials - p) <= 4 * se)
+
+    def test_full_batch_draws_nothing(self):
+        rng = np.random.default_rng(52)
+        before = rng.bit_generator.state
+        assert np.array_equal(_sample_batch(6, 6, rng), np.arange(6))
+        assert rng.bit_generator.state == before
 
 
 class TestQuadratic:
