@@ -7,9 +7,15 @@ Subcommands:
     compare-depths  run reduced-depth variants of a uniform tree
     measure-q       print the certified and typical quantizer variance constants
 
-Configs are YAML (JSON parses too). Every resolved parameter is echoed into
-summary.json so a run can be reproduced from that file alone. Exit codes:
-0 success, 2 config error, 3 infeasibility, 4 diverged (non-finite training).
+Configs are YAML (JSON parses too). Every subcommand resolves its config
+through the same `_setup` step, which reads each key once with one default:
+measure-q stops after the quantizer constants and reads no schedule or
+latency key, optimize stops after the latency model and needs no lr or taus,
+and run and theory resolve everything, so theory reports the GP-optimized
+taus when schedule.optimize is set, as run does. schedule.rounds has no
+default. The summary.json config echo is built from the resolved objects, so
+a run can be reproduced from that file alone. Exit codes: 0 success, 2 config
+error, 3 infeasibility, 4 diverged (non-finite training).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +80,8 @@ def _build_topology(cfg: dict) -> Topology:
     raise ConfigError("topology needs fanouts or parents (inline or via file)")
 
 
-def _load_pool(task_cfg: dict, seed: int) -> tasks_mod.SyntheticPool:
-    pool_cfg = _require(task_cfg, "pool", "task")
+def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict]:
+    """The labeled pool and its resolved config."""
     if "file" in pool_cfg:
         raw = np.loadtxt(pool_cfg["file"], delimiter=",", skiprows=1)
         feats, labels = raw[:, :-1], raw[:, -1].astype(int)
@@ -87,23 +94,30 @@ def _load_pool(task_cfg: dict, seed: int) -> tasks_mod.SyntheticPool:
             labels=labels[rest],
             holdout_features=feats[hold],
             holdout_labels=labels[hold],
-        )
+        ), pool_cfg
     syn = _require(pool_cfg, "synthetic", "task.pool")
-    return tasks_mod.make_blob_pool(
-        n_samples=int(syn.get("samples", 4000)),
-        n_classes=int(syn.get("classes", 10)),
-        dim=int(syn.get("dim", 8)),
+    resolved = {
+        "samples": int(syn.get("samples", 4000)),
+        "classes": int(syn.get("classes", 10)),
+        "dim": int(syn.get("dim", 8)),
+        "spread": float(syn.get("spread", 0.6)),
+        "holdout_fraction": float(syn.get("holdout_fraction", 0.2)),
+    }
+    pool = tasks_mod.make_blob_pool(
+        n_samples=resolved["samples"],
+        n_classes=resolved["classes"],
+        dim=resolved["dim"],
         rng=_stream(seed, _TASK_GEN_STREAM, 0),
-        spread=float(syn.get("spread", 0.6)),
-        holdout_fraction=float(syn.get("holdout_fraction", 0.2)),
+        spread=resolved["spread"],
+        holdout_fraction=resolved["holdout_fraction"],
     )
+    return pool, {**pool_cfg, "synthetic": resolved}
 
 
-def _build_task(cfg: dict, topo: Topology):
+def _build_task(cfg: dict, topo: Topology, seed: int):
     """Build the configured task; returns (task, pool, resolved task config)."""
     tcfg = dict(_require(cfg, "task"))
     kind = _require(tcfg, "kind", "task")
-    seed = int(_require(cfg, "seed"))
     n_dev = topo.n_devices
     pool = None
     resolved = {"kind": kind, "init_scale": float(tcfg.get("init_scale", 0.0))}
@@ -127,20 +141,10 @@ def _build_task(cfg: dict, topo: Topology):
             batch_size=resolved["batch_size"],
         )
     elif kind in ("logistic", "tiny_mlp"):
-        pool = _load_pool(tcfg, seed)
+        pool, pool_resolved = _load_pool(dict(_require(tcfg, "pool", "task")), seed)
         case = int(tcfg.get("partition_case", 3))
         size_range = [int(v) for v in tcfg.get("size_range", [20, 40])]
-        pool_cfg = dict(tcfg["pool"])
-        if "synthetic" in pool_cfg:
-            syn = dict(pool_cfg["synthetic"])
-            pool_cfg["synthetic"] = {
-                "samples": int(syn.get("samples", 4000)),
-                "classes": int(syn.get("classes", 10)),
-                "dim": int(syn.get("dim", 8)),
-                "spread": float(syn.get("spread", 0.6)),
-                "holdout_fraction": float(syn.get("holdout_fraction", 0.2)),
-            }
-        resolved.update(partition_case=case, size_range=size_range, pool=pool_cfg)
+        resolved.update(partition_case=case, size_range=size_range, pool=pool_resolved)
         try:
             parts = tasks_mod.partition(
                 pool.features,
@@ -169,20 +173,10 @@ def _build_task(cfg: dict, topo: Topology):
                 hidden=resolved["hidden"],
             )
         if resolved["init_scale"] == 0.0 and kind == "tiny_mlp":
-            resolved["init_scale"] = 0.1
+            resolved["init_scale"] = 0.1  # zero init would be a symmetric saddle
     else:
         raise ConfigError(f"unknown task kind {kind!r}")
     return task, pool, resolved
-
-
-def _initial_model(cfg: dict, task) -> np.ndarray:
-    seed = int(cfg["seed"])
-    scale = float(cfg.get("task", {}).get("init_scale", 0.0))
-    if task.kind == "tiny_mlp" and scale == 0.0:
-        scale = 0.1  # zero init would be a symmetric saddle
-    if scale == 0.0:
-        return np.zeros(task.dim)
-    return scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim)
 
 
 def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]:
@@ -203,13 +197,9 @@ def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]
     return specs
 
 
-def _measure_qs(specs: list[quant_mod.QuantizerSpec], dim: int) -> list[float]:
-    return [quant_mod.measure_q(spec, dim) for spec in specs]
-
-
-def _build_latency(cfg: dict, topo: Topology, task, n_layers: int) -> latency_mod.LatencyParams:
+def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> latency_mod.LatencyParams:
     lcfg = dict(cfg.get("latency", {}))
-    seed = int(cfg["seed"])
+    n_layers = topo.num_layers
     freqs = lcfg.get("frequencies")
     if freqs is None:
         freqs = [0.5e9] * topo.n_devices
@@ -231,7 +221,7 @@ def _build_latency(cfg: dict, topo: Topology, task, n_layers: int) -> latency_mo
         kappa=float(lcfg.get("kappa", 1.0)),
         path_loss_exp=float(lcfg.get("path_loss_exp", 3.4)),
         deadline=float(lcfg.get("deadline", math.inf)),
-        rounds=int(cfg.get("schedule", {}).get("rounds", 1)),
+        rounds=rounds,
     )
     t_edge = lcfg.get("t_edge")
     if t_edge is None:
@@ -246,18 +236,105 @@ def _build_latency(cfg: dict, topo: Topology, task, n_layers: int) -> latency_mo
     return params
 
 
-def _theory_block(cfg, topo, sched, task, q_vec, w0, lr):
+@dataclass
+class _Setup:
+    """The objects one config resolves to; every subcommand consumes this.
+
+    The fields after `q` stay None when `_setup` stops early: measure-q
+    resolves nothing past `q`, optimize nothing past `lat`.
+    """
+
+    seed: int
+    topo: Topology
+    task: tasks_mod.Task
+    pool: tasks_mod.SyntheticPool | None
+    task_resolved: dict
+    quantizers: list[quant_mod.QuantizerSpec]
+    q: list[float]
+    alpha: float | None = None
+    lat: latency_mod.LatencyParams | None = None
+    lr: float | None = None
+    weighted: bool | None = None
+    theory: dict | None = None
+    sched: engine.Schedule | None = None
+    optimizer: gp_optimizer.OptimizerResult | None = None
+    w0: np.ndarray | None = None
+
+    def objective(self) -> gp_optimizer.ObjectiveSpec:
+        return gp_optimizer.ObjectiveSpec(
+            alpha=self.alpha,
+            counts=self.topo.layer_sizes[1:-1],
+            n_tot=self.topo.n_devices,
+            q=tuple(self.q),
+            latency=self.lat,
+        )
+
+    def q_typical(self) -> list[float]:
+        return [quant_mod.typical_q(spec, self.task.dim) for spec in self.quantizers]
+
+    def echo(self) -> dict:
+        """The resolved config, which reproduces the run on its own."""
+        return {
+            "seed": self.seed,
+            "topology": {
+                "layer_sizes": list(self.topo.layer_sizes),
+                "parents": [list(p) for p in self.topo.parents],
+                "fanouts": list(self.topo.fanouts) if self.topo.fanouts else None,
+            },
+            "task": self.task_resolved,
+            "schedule": {"taus": list(self.sched.taus), "rounds": self.sched.global_rounds},
+            "quantizers": [{"kind": spec.kind, "levels": spec.levels} for spec in self.quantizers],
+            "q": list(self.q),
+            "q_typical": self.q_typical(),
+            "lr": self.lr,
+            "weighted": self.weighted,
+            "alpha": self.alpha,
+            "theory": self.theory,
+            "latency": asdict(self.lat),
+        }
+
+
+def _setup(cfg: dict, command: str = "run") -> _Setup:
+    """Resolve the config for `command` (see the module docstring for what
+    each command reads), reading each key once."""
+    seed = int(_require(cfg, "seed"))
+    topo = _build_topology(cfg)
+    task, pool, task_resolved = _build_task(cfg, topo, seed)
+    quantizers = _build_quantizers(cfg, topo.num_layers)
+    q = [quant_mod.measure_q(spec, task.dim) for spec in quantizers]
+    s = _Setup(seed, topo, task, pool, task_resolved, quantizers, q)
+    if command == "measure-q":
+        return s
+    scfg = dict(_require(cfg, "schedule"))
+    s.alpha = float(cfg.get("alpha", 0.5))
+    s.lat = _build_latency(cfg, topo, task, seed, int(_require(scfg, "rounds", "schedule")))
+    if command == "optimize":
+        return s
+    s.lr = float(_require(cfg, "lr"))
+    s.weighted = bool(cfg.get("weighted", False))
+    s.theory = dict(cfg.get("theory", {}))
+    if scfg.get("optimize", False):
+        s.optimizer = gp_optimizer.optimize(s.objective())
+        taus = s.optimizer.taus_integer
+    else:
+        taus = tuple(int(v) for v in _require(scfg, "taus", "schedule"))
+    s.sched = engine.Schedule(taus, s.lat.rounds)
+    scale = task_resolved["init_scale"]
+    s.w0 = scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim) if scale else np.zeros(task.dim)
+    return s
+
+
+def _theory_block(s: _Setup) -> dict | None:
     """Condition value, feasible learning rate, and bound decomposition.
 
     Exact constants are available for the quadratic task; otherwise the
     config must provide lipschitz/gap0 (sigma2 falls back to an empirical
     estimate) or the block is reported as null.
     """
-    thy = dict(cfg.get("theory", {}))
-    seed = int(cfg["seed"])
-    lipschitz = thy.get("lipschitz")
-    sigma2 = thy.get("sigma2")
-    gap0 = thy.get("gap0")
+    task, w0 = s.task, s.w0
+    lipschitz = s.theory.get("lipschitz")
+    sigma2 = s.theory.get("sigma2")
+    gap0 = s.theory.get("gap0")
     if task.kind == "quadratic":
         if lipschitz is None:
             lipschitz = 1.0
@@ -268,19 +345,19 @@ def _theory_block(cfg, topo, sched, task, q_vec, w0, lr):
             gap0 = float(tasks_mod.flat_global_loss(task)(w0) - tasks_mod.flat_global_loss(task)(opt))
     else:
         if sigma2 is None and lipschitz is not None:
-            sigma2 = tasks_mod.estimate_sigma2(task, w0, _stream(seed, _TASK_GEN_STREAM, 9))
+            sigma2 = tasks_mod.estimate_sigma2(task, w0, _stream(s.seed, _TASK_GEN_STREAM, 9))
     if lipschitz is None or sigma2 is None or gap0 is None:
         return None
     params = theory_mod.TheoryParams(
         lipschitz=float(lipschitz),
         sigma2=float(sigma2),
-        mu=float(lr),
+        mu=s.lr,
         gap0=float(gap0),
-        q=tuple(q_vec),
-        topology=topo,
-        schedule=sched,
+        q=tuple(s.q),
+        topology=s.topo,
+        schedule=s.sched,
     )
-    speed, err, total = theory_mod.rate_bound(params, sched.global_rounds)
+    speed, err, total = theory_mod.rate_bound(params, s.sched.global_rounds)
     return {
         "lipschitz": params.lipschitz,
         "sigma2": params.sigma2,
@@ -290,41 +367,6 @@ def _theory_block(cfg, topo, sched, task, q_vec, w0, lr):
         "bound_speed_term": speed,
         "bound_error_term": err,
         "bound_total": total,
-    }
-
-
-def _resolved_config(cfg, topo, sched, quantizers, q_vec, dim, lat, lr, weighted, task_resolved) -> dict:
-    return {
-        "seed": int(cfg["seed"]),
-        "topology": {
-            "layer_sizes": list(topo.layer_sizes),
-            "parents": [list(p) for p in topo.parents],
-            "fanouts": list(topo.fanouts) if topo.fanouts else None,
-        },
-        "task": task_resolved,
-        "schedule": {"taus": list(sched.taus), "rounds": sched.global_rounds},
-        "quantizers": [{"kind": s.kind, "levels": s.levels} for s in quantizers],
-        "q": list(q_vec),
-        "q_typical": [quant_mod.typical_q(s, dim) for s in quantizers],
-        "lr": float(lr),
-        "weighted": bool(weighted),
-        "alpha": float(cfg.get("alpha", 0.5)),
-        "theory": dict(cfg.get("theory", {})),
-        "latency": {
-            "cycles_per_sample": lat.cycles_per_sample,
-            "frequencies": list(lat.frequencies),
-            "batch_size": lat.batch_size,
-            "model_bits": lat.model_bits,
-            "bandwidth": lat.bandwidth,
-            "tx_power": lat.tx_power,
-            "channel_gain": lat.channel_gain,
-            "noise_power": lat.noise_power,
-            "t_edge": list(lat.t_edge),
-            "kappa": lat.kappa,
-            "path_loss_exp": lat.path_loss_exp,
-            "deadline": lat.deadline,
-            "rounds": lat.rounds,
-        },
     }
 
 
@@ -363,52 +405,23 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
 
 def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.RunMetrics]:
     """run_experiment that also returns the run's in-memory metrics."""
-    seed = int(_require(cfg, "seed"))
-    topo = _build_topology(cfg)
-    n_layers = topo.num_layers
-    task, pool, task_resolved = _build_task(cfg, topo)
-    lr = float(_require(cfg, "lr"))
-    weighted = bool(cfg.get("weighted", False))
-    quantizers = _build_quantizers(cfg, n_layers)
-    q_vec = _measure_qs(quantizers, task.dim)
-    lat = _build_latency(cfg, topo, task, n_layers)
-
-    scfg = dict(_require(cfg, "schedule"))
-    rounds = int(_require(scfg, "rounds", "schedule"))
-    optimizer_result = None
-    if scfg.get("optimize", False):
-        spec = gp_optimizer.ObjectiveSpec(
-            alpha=float(cfg.get("alpha", 0.5)),
-            counts=topo.layer_sizes[1:-1],
-            n_tot=topo.n_devices,
-            q=tuple(q_vec),
-            latency=lat,
-        )
-        res = gp_optimizer.optimize(spec)
-        taus = res.taus_integer
-        optimizer_result = _optimizer_block(res)
-    else:
-        taus = tuple(int(v) for v in _require(scfg, "taus", "schedule"))
-    sched = engine.Schedule(taus, rounds)
-    lat.rounds = rounds
-
-    per_round = latency_mod.round_latency(lat, sched)
-    w0 = _initial_model(cfg, task)
+    s = _setup(cfg)
+    per_round = latency_mod.round_latency(s.lat, s.sched)
     metrics = engine.run(
-        task,
-        topo,
-        sched,
-        quantizers,
-        lr,
-        seed=seed,
-        weighted=weighted,
-        w0=w0,
+        s.task,
+        s.topo,
+        s.sched,
+        s.quantizers,
+        s.lr,
+        seed=s.seed,
+        weighted=s.weighted,
+        w0=s.w0,
         round_latency=per_round,
     )
 
     accuracy = None
-    if pool is not None and hasattr(task, "accuracy"):
-        accuracy = task.accuracy(metrics.final_model, pool.holdout_features, pool.holdout_labels)
+    if s.pool is not None and hasattr(s.task, "accuracy"):
+        accuracy = s.task.accuracy(metrics.final_model, s.pool.holdout_features, s.pool.holdout_labels)
 
     summary = {
         "final_loss": metrics.final_loss,
@@ -417,9 +430,9 @@ def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.
         "final_accuracy": accuracy,
         "round_latency": per_round,
         "total_time": metrics.cumulative_time[-1],
-        "theory": _theory_block(cfg, topo, sched, task, q_vec, w0, lr),
-        "optimizer": optimizer_result,
-        "config": _resolved_config(cfg, topo, sched, quantizers, q_vec, task.dim, lat, lr, weighted, task_resolved),
+        "theory": _theory_block(s),
+        "optimizer": None if s.optimizer is None else _optimizer_block(s.optimizer),
+        "config": s.echo(),
     }
 
     out = Path(output_dir if output_dir is not None else cfg.get("output_dir", "."))
@@ -510,32 +523,14 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
 
 
 def _cmd_theory(cfg: dict) -> dict:
-    topo = _build_topology(cfg)
-    task, _, _ = _build_task(cfg, topo)
-    quantizers = _build_quantizers(cfg, topo.num_layers)
-    q_vec = _measure_qs(quantizers, task.dim)
-    scfg = dict(_require(cfg, "schedule"))
-    sched = engine.Schedule(tuple(_require(scfg, "taus", "schedule")), int(scfg.get("rounds", 1)))
-    block = _theory_block(cfg, topo, sched, task, q_vec, _initial_model(cfg, task), float(_require(cfg, "lr")))
+    block = _theory_block(_setup(cfg, "theory"))
     if block is None:
         raise ConfigError("theory needs lipschitz/sigma2/gap0 (or a quadratic task)")
     return block
 
 
 def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
-    topo = _build_topology(cfg)
-    task, _, _ = _build_task(cfg, topo)
-    quantizers = _build_quantizers(cfg, topo.num_layers)
-    q_vec = _measure_qs(quantizers, task.dim)
-    lat = _build_latency(cfg, topo, task, topo.num_layers)
-    lat.rounds = int(cfg.get("schedule", {}).get("rounds", 1))
-    spec = gp_optimizer.ObjectiveSpec(
-        alpha=float(cfg.get("alpha", 0.5)),
-        counts=topo.layer_sizes[1:-1],
-        n_tot=topo.n_devices,
-        q=tuple(q_vec),
-        latency=lat,
-    )
+    spec = _setup(cfg, "optimize").objective()
     res = gp_optimizer.optimize(spec)
     out = _optimizer_block(res)
     if oracle:
@@ -547,15 +542,12 @@ def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
 
 
 def _cmd_measure_q(cfg: dict) -> dict:
-    topo = _build_topology(cfg)
-    task, _, _ = _build_task(cfg, topo)
-    quantizers = _build_quantizers(cfg, topo.num_layers)
-    q_vec = _measure_qs(quantizers, task.dim)
+    s = _setup(cfg, "measure-q")
     return {
-        "dimension": task.dim,
-        "q": q_vec,
-        "q_typical": [quant_mod.typical_q(s, task.dim) for s in quantizers],
-        "levels": [s.levels if not s.is_identity else None for s in quantizers],
+        "dimension": s.task.dim,
+        "q": s.q,
+        "q_typical": s.q_typical(),
+        "levels": [spec.levels if not spec.is_identity else None for spec in s.quantizers],
     }
 
 
@@ -597,7 +589,6 @@ def main(argv: list[str] | None = None) -> int:
         gp_optimizer.NoFeasiblePoint,
         gp_optimizer.InfeasibleStart,
         gp_optimizer.RegimeViolation,
-        theory_mod.NoFeasibleMu,
     ) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

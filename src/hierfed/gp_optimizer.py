@@ -63,9 +63,7 @@ class ObjectiveSpec:
 
     alpha weighs convergence speed against post-convergence error; counts
     holds the edge-server cardinalities (C_1, ..., C_{N-1}); q holds the
-    per-hop quantizer variance constants (length N). The two objective terms
-    can be rescaled by reference values via speed_norm / error_norm
-    (both default to 1, i.e. the raw objective).
+    per-hop quantizer variance constants (length N).
     """
 
     alpha: float
@@ -73,8 +71,6 @@ class ObjectiveSpec:
     n_tot: int
     q: tuple[float, ...]
     latency: LatencyParams
-    speed_norm: float = 1.0
-    error_norm: float = 1.0
 
     def __post_init__(self) -> None:
         self.counts = tuple(int(c) for c in self.counts)
@@ -83,8 +79,6 @@ class ObjectiveSpec:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if len(self.counts) != len(self.q) - 1:
             raise ValueError("counts must have one entry fewer than q")
-        if self.speed_norm <= 0 or self.error_norm <= 0:
-            raise ValueError("normalization factors must be positive")
         if not math.isfinite(self.latency.deadline) or self.latency.deadline <= 0:
             raise ValueError("optimization needs a finite positive deadline")
 
@@ -94,11 +88,11 @@ class ObjectiveSpec:
 
     @property
     def speed_weight(self) -> float:
-        return self.alpha / self.speed_norm
+        return self.alpha
 
     @property
     def error_weight(self) -> float:
-        return (1.0 - self.alpha) / self.error_norm
+        return 1.0 - self.alpha
 
 
 @dataclass

@@ -28,11 +28,6 @@ class WrongSpecialization(ValueError):
     """A corollary was called outside its regime."""
 
 
-class NoFeasibleMu(RuntimeError):
-    """No positive learning rate satisfies the condition (cannot happen for
-    finite parameters; kept as an explicit failure mode)."""
-
-
 @dataclass
 class TheoryParams:
     """Inputs to the condition and bound.
@@ -104,20 +99,16 @@ def recursion_A(params: TheoryParams, layer: int) -> float:
     return max(_node_terms(params, layer))
 
 
-def condition_lhs(params: TheoryParams) -> float:
-    """Left side of the learning-rate condition; the rate bound applies iff >= 0.
+def _condition_sums(params: TheoryParams) -> tuple[float, float]:
+    """(S, B) with condition value 1 - L^2 mu^2 S - L mu B; neither depends on mu.
 
-    For N = 1 the architecture terms vanish and the condition degenerates to
-    1 - L^2 mu^2 tau_1 (tau_1 - 1) / 2 - L mu tau_1.
+    For N = 1 the architecture terms vanish: S = tau_1 (tau_1 - 1) / 2, B = tau_1.
     """
     taus = params.schedule.taus
     n = len(taus)
-    lip, mu = params.lipschitz, params.mu
-    if n == 1:
-        t1 = taus[0]
-        return 1.0 - lip**2 * mu**2 * t1 * (t1 - 1) / 2.0 - lip * mu * t1
-
     sq_terms = [taus[0] * (taus[0] - 1) / 2.0]
+    if n == 1:
+        return sq_terms[0], float(taus[0])
     for idx in range(1, n):  # layers 2..N
         tau_n = taus[idx]
         sq_terms.append(tau_n * (tau_n - 1) / 2.0 * math.prod(taus[:idx]) ** 2)
@@ -129,9 +120,14 @@ def condition_lhs(params: TheoryParams) -> float:
         math.prod(taus),
         recursion_A(params, n - 1) / params.topology.n_devices,
     ]
-    return 1.0 - lip**2 * mu**2 * math.fsum(sorted(sq_terms)) - lip * mu * math.fsum(
-        sorted(lin_terms)
-    )
+    return math.fsum(sorted(sq_terms)), math.fsum(sorted(lin_terms))
+
+
+def condition_lhs(params: TheoryParams) -> float:
+    """Left side of the learning-rate condition; the rate bound applies iff >= 0."""
+    sq, lin = _condition_sums(params)
+    lip, mu = params.lipschitz, params.mu
+    return 1.0 - lip**2 * mu**2 * sq - lip * mu * lin
 
 
 def error_bracket(
@@ -235,30 +231,16 @@ def corollary2_bound(params: TheoryParams, rounds: int) -> tuple[float, float, f
     return speed, error, speed + error
 
 
-def max_feasible_mu(params: TheoryParams, rel_tol: float = 1e-10) -> float:
-    """Largest learning rate with a non-negative condition value, by bisection.
+def max_feasible_mu(params: TheoryParams) -> float:
+    """Largest learning rate with a non-negative condition value.
 
-    The condition value is strictly decreasing in mu (> 0), equals 1 at
-    mu -> 0+, and goes to -inf, so a sign change always exists.
+    The condition value 1 - L^2 mu^2 S - L mu B is a downward parabola in mu
+    with value 1 at mu = 0 and B >= prod(taus) >= 1, so its positive root
+    2 / (L (B + sqrt(B^2 + 4 S))) always exists; the loop steps down past the
+    round-off of evaluating the condition there.
     """
-
-    def value(mu: float) -> float:
-        return condition_lhs(replace(params, mu=mu))
-
-    hi = 1.0 / params.lipschitz
-    for _ in range(200):
-        if value(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoFeasibleMu("condition never turned negative while growing mu")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if value(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise NoFeasibleMu("no positive feasible learning rate found")
-    return lo
+    sq, lin = _condition_sums(params)
+    mu = 2.0 / (params.lipschitz * (lin + math.sqrt(lin * lin + 4.0 * sq)))
+    while condition_lhs(replace(params, mu=mu)) < 0.0:
+        mu = math.nextafter(mu, 0.0)
+    return mu

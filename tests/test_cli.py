@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +353,31 @@ class TestMainEntry:
         out = json.loads(capsys.readouterr().out)
         assert out["q"][0] > out["q"][1] > 0.0 == out["q"][2]
         assert all(t <= q for t, q in zip(out["q_typical"], out["q"]))
+
+    def test_theory_honours_schedule_optimize(self, tmp_path, capsys):
+        cfg = quad_config(
+            tmp_path,
+            schedule={"rounds": 4, "optimize": True},
+            latency={"deadline": 4000.0, "cycles_per_sample": 1e7},
+        )
+        assert main(["theory", self.write(tmp_path, cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == run_experiment(cfg)["theory"]
+
+    def test_measure_q_reads_no_schedule_or_latency(self, tmp_path, capsys):
+        cfg = quad_config(tmp_path)
+        del cfg["schedule"], cfg["latency"]
+        assert main(["measure-q", self.write(tmp_path, cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+    def test_readme_example_config(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        cfg = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+        assert cfg["topology"]["layer_sizes"][0] == 96
+        path = self.write(tmp_path, cfg)
+        for command in ("measure-q", "theory", "optimize"):
+            assert main([command, path]) == 0, command
+            json.loads(capsys.readouterr().out)
 
     def test_compare_depths_subcommand(self, tmp_path, capsys):
         cfg = quad_config(
