@@ -14,17 +14,20 @@ latency key, optimize stops after the latency model and needs no lr or taus,
 and run and theory resolve everything, so theory reports the GP-optimized
 taus when schedule.optimize is set, as run does. schedule.rounds has no
 default. The summary.json config echo is built from the resolved objects, so
-a run can be reproduced from that file alone. Exit codes: 0 success, 2 config
-error, 3 infeasibility, 4 diverged (non-finite training).
+a run can be reproduced from that file alone. Exit codes: 0 success, 1
+internal error, 2 config error, 3 infeasibility, 4 diverged (non-finite
+training).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,6 +49,17 @@ class ConfigError(ValueError):
     """Missing or inconsistent configuration."""
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Re-raise the domain validation errors (ValueError) as ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
@@ -65,18 +79,16 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+@_config_errors()
 def _build_topology(cfg: dict) -> Topology:
     tcfg = dict(_require(cfg, "topology"))
     if "file" in tcfg:
         tcfg = load_config(tcfg["file"])
     sizes = _require(tcfg, "layer_sizes", "topology")
-    try:
-        if "fanouts" in tcfg:
-            return build_topology(sizes, fanouts=tcfg["fanouts"])
-        if "parents" in tcfg:
-            return build_topology(sizes, parents=tcfg["parents"])
-    except ValueError as exc:
-        raise ConfigError(f"bad topology: {exc}") from exc
+    if "fanouts" in tcfg:
+        return build_topology(sizes, fanouts=tcfg["fanouts"])
+    if "parents" in tcfg:
+        return build_topology(sizes, parents=tcfg["parents"])
     raise ConfigError("topology needs fanouts or parents (inline or via file)")
 
 
@@ -188,12 +200,7 @@ def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]
     specs = []
     for entry in qcfg:
         kind = entry.get("kind", "identity")
-        try:
-            specs.append(
-                quant_mod.QuantizerSpec(kind=kind, levels=int(entry.get("levels", 1)))
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad quantizer entry {entry}: {exc}") from exc
+        specs.append(quant_mod.QuantizerSpec(kind=kind, levels=int(entry.get("levels", 1))))
     return specs
 
 
@@ -278,8 +285,8 @@ class _Setup:
             "seed": self.seed,
             "topology": {
                 "layer_sizes": list(self.topo.layer_sizes),
-                "parents": [list(p) for p in self.topo.parents],
-                "fanouts": list(self.topo.fanouts) if self.topo.fanouts else None,
+                **({"fanouts": list(self.topo.fanouts)} if self.topo.fanouts
+                   else {"parents": [list(p) for p in self.topo.parents]}),
             },
             "task": self.task_resolved,
             "schedule": {"taus": list(self.sched.taus), "rounds": self.sched.global_rounds},
@@ -294,6 +301,7 @@ class _Setup:
         }
 
 
+@_config_errors()
 def _setup(cfg: dict, command: str = "run") -> _Setup:
     """Resolve the config for `command` (see the module docstring for what
     each command reads), reading each key once."""
@@ -348,15 +356,16 @@ def _theory_block(s: _Setup) -> dict | None:
             sigma2 = tasks_mod.estimate_sigma2(task, w0, _stream(s.seed, _TASK_GEN_STREAM, 9))
     if lipschitz is None or sigma2 is None or gap0 is None:
         return None
-    params = theory_mod.TheoryParams(
-        lipschitz=float(lipschitz),
-        sigma2=float(sigma2),
-        mu=s.lr,
-        gap0=float(gap0),
-        q=tuple(s.q),
-        topology=s.topo,
-        schedule=s.sched,
-    )
+    with _config_errors():
+        params = theory_mod.TheoryParams(
+            lipschitz=float(lipschitz),
+            sigma2=float(sigma2),
+            mu=s.lr,
+            gap0=float(gap0),
+            q=tuple(s.q),
+            topology=s.topo,
+            schedule=s.sched,
+        )
     speed, err, total = theory_mod.rate_bound(params, s.sched.global_rounds)
     return {
         "lipschitz": params.lipschitz,
@@ -478,7 +487,8 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
         if depth > base.num_layers:
             raise ConfigError(f"depth {depth} exceeds the base tree ({base.num_layers})")
         sub = dict(cfg)
-        topo = reduce_depth(base, base.num_layers - depth)
+        with _config_errors():
+            topo = reduce_depth(base, base.num_layers - depth)
         sub["topology"] = {
             "layer_sizes": list(topo.layer_sizes),
             "fanouts": list(topo.fanouts),
@@ -582,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     except engine.Diverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, gp_optimizer.SearchTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (
@@ -592,6 +602,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        print(f"internal error:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        return 1
     return 0
 
 

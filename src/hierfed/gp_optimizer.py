@@ -12,12 +12,14 @@ ratio constraint is active, so delta can be eliminated in closed form and
 what remains is minimizing a convex log-sum-exp expression over
 {log G <= 0, tau >= 1}. That small smooth convex program is solved with the
 standard log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3),
-so no external solver is needed: each centering stops when half the squared
-Newton decrement is at most 1e-10, the barrier parameter grows 20x per phase
-until the duality gap m/t is at most 1e-10 max(1, |f|), and the line search
-backtracks on values only, first to stay strictly feasible and then, away
-from the center, for Armijo decrease. A phase or line search that exceeds
-its bound raises SubproblemFailure.
+so no external solver is needed: the barrier parameter t starts where the
+start point is most nearly central (11.3.1), clamped to [1, twice the t whose
+duality gap meets the tolerance there]; each centering stops when half the
+squared Newton decrement is at most 1e-10, t grows 20x per phase until the
+duality gap m/t is at most 1e-10 max(1, |f|), and the line search backtracks
+on values only, first to stay strictly feasible and then, away from the
+center, for Armijo decrease. A phase or line search that exceeds its bound
+raises SubproblemFailure.
 """
 
 from __future__ import annotations
@@ -252,10 +254,17 @@ def _solve_inner(
 ) -> tuple[np.ndarray, int]:
     """Minimize f(y) = LSE(obj)(y) - lin . y  s.t.  LSE(g)(y) <= 0 and y >= 0.
 
-    Barrier method: for t = 1, 20, 400, ... center t f(y) - log(-LSE(g)(y))
-    - sum log y with Newton steps until lambda^2/2 <= _EPS, where lambda^2 =
-    -grad . step is the Newton decrement; stop once the duality gap m/t of
-    the m = n + 1 constraints is at most _EPS max(1, |f|). The line search
+    Barrier method: for t = t0, 20 t0, 400 t0, ... center t f(y) + phi(y),
+    phi(y) = -log(-LSE(g)(y)) - sum log y, with Newton steps until
+    lambda^2/2 <= _EPS, where lambda^2 = -grad . step is the Newton
+    decrement; stop once the duality gap m/t of the m = n + 1 constraints is
+    at most _EPS max(1, |f|). t0 = -<grad f, H^-1 grad phi> / <grad f, H^-1
+    grad f>, H = hess phi(y0), makes y0 most nearly central (Boyd &
+    Vandenberghe 11.3.1); it is 1 if the denominator is not finite and
+    positive, and clamped to [1, 2m / (_EPS max(1, |f(y0)|))], where the
+    gap test passes even if f loses half its size while centering (at the
+    bare threshold a start at the optimum of a problem with f < 0 fails it
+    by roundoff and goes on to a 20x larger t). The line search
     evaluates values only: it halves the step until the trial point is
     strictly feasible and, while lambda^2/2 > _FULL_STEP, until it also
     passes the Armijo test; closer to the center, where the decrease drops
@@ -271,8 +280,13 @@ def _solve_inner(
         f = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv)
         return t * f - math.log(-c) - float(np.sum(np.log(yv)))
 
+    r, gr, _ = _lse(obj_exps, obj_logc, y)
+    c, gc, hc = _lse(g_exps, g_logc, y)
+    h_grad_f = np.linalg.solve(-hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2), gr - lin)
+    den = float((gr - lin) @ h_grad_f)
+    t_max = 2.0 * m / (_EPS * max(1.0, abs(r - float(lin @ y))))
+    t = min(max(float((gc / c + 1.0 / y) @ h_grad_f) / den, 1.0), t_max) if 0.0 < den < math.inf else 1.0
     steps = 0
-    t = 1.0
     for _ in range(_MAX_PHASES):
         for _ in range(_MAX_NEWTON):
             r, gr, hr = _lse(obj_exps, obj_logc, y)

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hierfed import gp_optimizer
 from hierfed.cli import compare_depths
 from hierfed.engine import Schedule, run, run_fedavg_reference
 from hierfed.gp_optimizer import (
@@ -110,8 +111,11 @@ def test_criterion_02_quantizer_soundness():
             rng = np.random.default_rng(31_000 + dim + levels)
             x = rng.standard_normal(dim)
             total = np.zeros(dim)
-            for _ in range(trials):
-                total += quantize(spec, x, rng)
+            # a row-wise call draws what as many vector calls draw, in order
+            # (test_quantizer.TestRowWise), so the sum is bit-identical
+            for _ in range(trials // 10_000):
+                for row in quantize(spec, np.broadcast_to(x, (10_000, dim)), rng):
+                    total += row
             mean = total / trials
             norm = np.linalg.norm(x)
             scaled = np.abs(x) / norm * levels
@@ -298,6 +302,31 @@ def test_criterion_06_newton_steps_per_agma_step():
         spec = _optimizer_spec(rng, int(rng.integers(2, 4)))
         result = optimize(spec)
         assert result.newton_steps <= 120 * max(result.iterations, 1), trial
+
+
+def test_criterion_06_barrier_warm_start(monkeypatch):
+    # counts, not timers: each barrier solve starts at the t for which its
+    # start point is most nearly central, so an AGMA step begun at the last
+    # step's optimum skips the early phases; restarting every solve at t = 1
+    # takes 5527 Newton steps here, and a median of 88 per later step
+    per_step, later, total = [], [], 0
+    agma_step = gp_optimizer.agma_step
+
+    def counted(*args):
+        step = agma_step(*args)
+        per_step.append(step.newton_steps)
+        return step
+
+    monkeypatch.setattr(gp_optimizer, "agma_step", counted)
+    rng = np.random.default_rng(666)
+    for _ in range(20):
+        per_step.clear()
+        result = optimize(_optimizer_spec(rng, int(rng.integers(2, 4))))
+        assert result.newton_steps == sum(per_step)
+        total += result.newton_steps
+        later += per_step[1:]
+    assert total <= 3000
+    assert float(np.median(later)) <= 20
 
 
 def test_criterion_07_closed_form_special_case():

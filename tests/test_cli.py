@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hierfed import engine
 from hierfed.cli import (
     ConfigError,
     compare_depths,
@@ -58,14 +59,18 @@ class TestRunExperiment:
         ).read_bytes()
 
     def test_summary_config_reruns_identically(self, tmp_path):
-        cfg = quad_config(tmp_path, output_dir=str(tmp_path / "first"))
-        run_experiment(cfg)
-        echoed = json.loads((tmp_path / "first" / "summary.json").read_text())["config"]
-        echoed["output_dir"] = str(tmp_path / "second")
-        run_experiment(echoed)
-        assert (tmp_path / "first" / "metrics.csv").read_bytes() == (
-            tmp_path / "second" / "metrics.csv"
-        ).read_bytes()
+        trees = [
+            {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2, 2]},
+            {"layer_sizes": [8, 3, 2, 1], "parents": [[0, 0, 0, 1, 1, 2, 2, 2], [0, 1, 1], [0, 0]]},
+        ]
+        for i, tree in enumerate(trees):
+            first, second = tmp_path / f"first{i}", tmp_path / f"second{i}"
+            run_experiment(quad_config(tmp_path, topology=tree, output_dir=str(first)))
+            echoed = json.loads((first / "summary.json").read_text())["config"]
+            assert echoed["topology"] == tree
+            echoed["output_dir"] = str(second)
+            run_experiment(echoed)
+            assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
     def test_optimize_directive(self, tmp_path):
         cfg = quad_config(
@@ -271,6 +276,37 @@ class TestMainEntry:
         cfg = quad_config(tmp_path)
         del cfg["topology"]
         assert main(["run", self.write(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("run", {"quantizers": [{"kind": "bogus"}] * 3}),
+            ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}),
+            ("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}),
+            ("run", {"lr": -0.05}),  # rejected by the theory block, after training
+            (  # reduce_depth needs a uniform fan-out tree
+                "compare-depths",
+                {
+                    "topology": {"layer_sizes": [4, 2, 1], "parents": [[0, 0, 0, 1], [0, 0]]},
+                    "compare": {"depths": [1]},
+                    "schedule": {"taus": [2], "rounds": 2},
+                },
+            ),
+        ],
+        ids=["quantizer", "topology", "schedule", "theory", "compare_depths"],
+    )
+    def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides):
+        assert main([command, self.write(tmp_path, quad_config(tmp_path, **overrides))]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_internal_value_error_exit_one(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("shapes (3,) and (4,) not aligned")
+
+        monkeypatch.setattr(engine, "run", broken)
+        assert main(["run", self.write(tmp_path, quad_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "Traceback" in err and "not aligned" in err
 
     def test_unparseable_config_exit_two(self, tmp_path):
         path = tmp_path / "bad.yaml"
