@@ -43,6 +43,7 @@ from .topology import Topology, build_topology, reduce_depth
 _TASK_GEN_STREAM = 3
 _FREQ_STREAM = 4
 _INIT_STREAM = 5
+_THEORY_CONSTANTS = ("lipschitz", "sigma2", "gap0")
 
 
 class ConfigError(ValueError):
@@ -79,9 +80,17 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, where: str = "config", required: bool = True) -> dict:
+    """A copy of the mapping under `key`; an optional section may be absent."""
+    value = _require(cfg, key, where) if required else cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} key {key!r} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 @_config_errors()
 def _build_topology(cfg: dict) -> Topology:
-    tcfg = dict(_require(cfg, "topology"))
+    tcfg = _section(cfg, "topology")
     if "file" in tcfg:
         tcfg = load_config(tcfg["file"])
     sizes = _require(tcfg, "layer_sizes", "topology")
@@ -107,7 +116,7 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
             holdout_features=feats[hold],
             holdout_labels=labels[hold],
         ), pool_cfg
-    syn = _require(pool_cfg, "synthetic", "task.pool")
+    syn = _section(pool_cfg, "synthetic", "task.pool")
     resolved = {
         "samples": int(syn.get("samples", 4000)),
         "classes": int(syn.get("classes", 10)),
@@ -128,7 +137,7 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
 
 def _build_task(cfg: dict, topo: Topology, seed: int):
     """Build the configured task; returns (task, pool, resolved task config)."""
-    tcfg = dict(_require(cfg, "task"))
+    tcfg = _section(cfg, "task")
     kind = _require(tcfg, "kind", "task")
     n_dev = topo.n_devices
     pool = None
@@ -153,7 +162,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
             batch_size=resolved["batch_size"],
         )
     elif kind in ("logistic", "tiny_mlp"):
-        pool, pool_resolved = _load_pool(dict(_require(tcfg, "pool", "task")), seed)
+        pool, pool_resolved = _load_pool(_section(tcfg, "pool", "task"), seed)
         case = int(tcfg.get("partition_case", 3))
         size_range = [int(v) for v in tcfg.get("size_range", [20, 40])]
         resolved.update(partition_case=case, size_range=size_range, pool=pool_resolved)
@@ -195,24 +204,22 @@ def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]
     qcfg = cfg.get("quantizers")
     if qcfg is None:
         return [quant_mod.identity() for _ in range(n_layers)]
-    if len(qcfg) != n_layers:
-        raise ConfigError(f"need {n_layers} quantizers, got {len(qcfg)}")
-    specs = []
-    for entry in qcfg:
-        kind = entry.get("kind", "identity")
-        specs.append(quant_mod.QuantizerSpec(kind=kind, levels=int(entry.get("levels", 1))))
-    return specs
+    if not isinstance(qcfg, list) or len(qcfg) != n_layers:
+        raise ConfigError(f"quantizers must be a list of {n_layers} entries, got {qcfg!r}")
+    if not all(isinstance(entry, dict) for entry in qcfg):
+        raise ConfigError(f"quantizers entries must be mappings, got {qcfg!r}")
+    return [quant_mod.QuantizerSpec(e.get("kind", "identity"), int(e.get("levels", 1))) for e in qcfg]
 
 
 def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> latency_mod.LatencyParams:
-    lcfg = dict(cfg.get("latency", {}))
+    lcfg = _section(cfg, "latency", required=False)
     n_layers = topo.num_layers
     freqs = lcfg.get("frequencies")
     if freqs is None:
         freqs = [0.5e9] * topo.n_devices
     elif isinstance(freqs, dict):
-        rng = _stream(seed, _FREQ_STREAM, 0)
-        freqs = rng.uniform(float(freqs["min"]), float(freqs["max"]), size=topo.n_devices).tolist()
+        lo, hi = (float(_require(freqs, k, "latency.frequencies")) for k in ("min", "max"))
+        freqs = _stream(seed, _FREQ_STREAM, 0).uniform(lo, hi, size=topo.n_devices).tolist()
     model_bits = lcfg.get("model_bits")
     if model_bits is None:
         model_bits = 32.0 * task.dim
@@ -236,7 +243,7 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         t_edge = [10.0 * (k + 1) * t_de for k in range(n_layers - 1)]
     elif isinstance(t_edge, dict):
         t_de = latency_mod.compute_tde(params)
-        t_edge = [float(m) * t_de for m in t_edge["multipliers"]]
+        t_edge = [float(m) * t_de for m in _require(t_edge, "multipliers", "latency.t_edge")]
     if len(t_edge) < n_layers - 1:
         raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries")
     params.t_edge = [float(v) for v in t_edge[: max(0, n_layers - 1)]]
@@ -313,14 +320,14 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     s = _Setup(seed, topo, task, pool, task_resolved, quantizers, q)
     if command == "measure-q":
         return s
-    scfg = dict(_require(cfg, "schedule"))
+    scfg = _section(cfg, "schedule")
     s.alpha = float(cfg.get("alpha", 0.5))
     s.lat = _build_latency(cfg, topo, task, seed, int(_require(scfg, "rounds", "schedule")))
     if command == "optimize":
         return s
     s.lr = float(_require(cfg, "lr"))
     s.weighted = bool(cfg.get("weighted", False))
-    s.theory = dict(cfg.get("theory", {}))
+    s.theory = _section(cfg, "theory", required=False)
     if scfg.get("optimize", False):
         s.optimizer = gp_optimizer.optimize(s.objective())
         taus = s.optimizer.taus_integer
@@ -335,42 +342,23 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
 def _theory_block(s: _Setup) -> dict | None:
     """Condition value, feasible learning rate, and bound decomposition.
 
-    Exact constants are available for the quadratic task; otherwise the
-    config must provide lipschitz/gap0 (sigma2 falls back to an empirical
-    estimate) or the block is reported as null.
+    The constants are the task's own (Task.theory_constants), each
+    overridden by the config's theory key of the same name; `sources` says
+    where each came from. The block is null when one of them is missing.
     """
-    task, w0 = s.task, s.w0
-    lipschitz = s.theory.get("lipschitz")
-    sigma2 = s.theory.get("sigma2")
-    gap0 = s.theory.get("gap0")
-    if task.kind == "quadratic":
-        if lipschitz is None:
-            lipschitz = 1.0
-        if sigma2 is None:
-            sigma2 = task.gradient_noise_sigma2()
-        if gap0 is None:
-            opt = task.optimum()
-            gap0 = float(tasks_mod.flat_global_loss(task)(w0) - tasks_mod.flat_global_loss(task)(opt))
-    else:
-        if sigma2 is None and lipschitz is not None:
-            sigma2 = tasks_mod.estimate_sigma2(task, w0, _stream(s.seed, _TASK_GEN_STREAM, 9))
-    if lipschitz is None or sigma2 is None or gap0 is None:
+    given = {k: s.theory[k] for k in _THEORY_CONSTANTS if s.theory.get(k) is not None}
+    constants = {**s.task.theory_constants(s.w0, s.weighted), **given}
+    if len(constants) < len(_THEORY_CONSTANTS):
         return None
     with _config_errors():
-        params = theory_mod.TheoryParams(
-            lipschitz=float(lipschitz),
-            sigma2=float(sigma2),
-            mu=s.lr,
-            gap0=float(gap0),
-            q=tuple(s.q),
-            topology=s.topo,
-            schedule=s.sched,
-        )
+        constants = {k: float(v) for k, v in constants.items()}
+        params = theory_mod.TheoryParams(**constants, mu=s.lr, q=s.q, topology=s.topo, schedule=s.sched)
     speed, err, total = theory_mod.rate_bound(params, s.sched.global_rounds)
     return {
         "lipschitz": params.lipschitz,
         "sigma2": params.sigma2,
         "gap0": params.gap0,
+        "sources": {k: "config" if k in given else s.task.theory_source for k in _THEORY_CONSTANTS},
         "condition_value": theory_mod.condition_lhs(params),
         "max_feasible_mu": theory_mod.max_feasible_mu(params),
         "bound_speed_term": speed,
@@ -473,12 +461,14 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     iteration counts; schedules are expected to share the same product so
     that depth effects come from latency, not work per round.
     """
-    ccfg = dict(cfg.get("compare", {}))
+    ccfg = _section(cfg, "compare", required=False)
     if depths is None:
         depths = [int(d) for d in _require(ccfg, "depths", "compare")]
     threshold = float(ccfg.get("threshold", 1e-4))
-    kappas = {int(k): float(v) for k, v in ccfg.get("kappas", {}).items()}
-    taus_map = {int(k): [int(x) for x in v] for k, v in ccfg.get("taus", {}).items()}
+    kappas = {int(k): float(v) for k, v in _section(ccfg, "kappas", "compare", required=False).items()}
+    taus_map = {
+        int(k): [int(x) for x in v] for k, v in _section(ccfg, "taus", "compare", required=False).items()
+    }
 
     base = _build_topology(cfg)
     rows = []
@@ -493,14 +483,14 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             "layer_sizes": list(topo.layer_sizes),
             "fanouts": list(topo.fanouts),
         }
-        sub_sched = dict(cfg.get("schedule", {}))
+        sub_sched = _section(cfg, "schedule", required=False)
         if depth in taus_map:
             sub_sched["taus"] = taus_map[depth]
             sub_sched.pop("optimize", None)
         elif len(sub_sched.get("taus", [])) != depth:
             raise ConfigError(f"no schedule of length {depth} for depth {depth}")
         sub["schedule"] = sub_sched
-        sub_lat = dict(cfg.get("latency", {}))
+        sub_lat = _section(cfg, "latency", required=False)
         sub_lat["kappa"] = kappas.get(depth, 1.0)
         sub["latency"] = sub_lat
         qcfg = cfg.get("quantizers")
@@ -535,7 +525,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
 def _cmd_theory(cfg: dict) -> dict:
     block = _theory_block(_setup(cfg, "theory"))
     if block is None:
-        raise ConfigError("theory needs lipschitz/sigma2/gap0 (or a quadratic task)")
+        raise ConfigError("theory needs lipschitz, sigma2 and gap0 from the task or the config")
     return block
 
 

@@ -95,52 +95,23 @@ def _zeros(shape, exact: bool) -> np.ndarray:
     return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
 
 
-def _node_weights(topology: Topology, task: Task, weighted: bool, exact: bool):
-    """weights[layer-1][parent][k]: aggregation weight of the k-th child.
+def _hop_weights(topology: Topology, task: Task, weighted: bool, exact: bool) -> list[np.ndarray]:
+    """weights[hop-1]: a column holding each layer-(hop-1) node's aggregation
+    weight, its subtree mass over its parent's.
 
-    Count mode uses subtree device counts; weighted mode uses subtree dataset
-    sizes. Exact mode keeps the ratios as Fractions.
+    Mass is the subtree's device count, or its dataset size when weighted.
+    Exact mode keeps the ratios as Fractions.
     """
-    if weighted:
-        mass: list[list[int]] = [list(task.dataset_sizes())]
-        for layer in range(1, topology.num_layers + 1):
-            mass.append(
-                [
-                    sum(mass[layer - 1][c] for c in topology.children_of(layer, node))
-                    for node in range(topology.layer_sizes[layer])
-                ]
-            )
-    else:
-        mass = [list(counts) for counts in topology.subtree_devices]
-
+    mass = list(task.dataset_sizes()) if weighted else [1] * task.n_devices
     weights = []
-    for layer in range(1, topology.num_layers + 1):
-        per_parent = []
-        for node in range(topology.layer_sizes[layer]):
-            kids = topology.children_of(layer, node)
-            if exact:
-                row = [Fraction(mass[layer - 1][c], mass[layer][node]) for c in kids]
-            else:
-                row = [mass[layer - 1][c] / mass[layer][node] for c in kids]
-            total = sum(row)
-            assert total == 1 if exact else abs(float(total) - 1.0) < 1e-9
-            per_parent.append(row)
-        weights.append(per_parent)
+    for hop, parents in enumerate(topology.parents, start=1):
+        up = [0] * topology.layer_sizes[hop]
+        for m, p in zip(mass, parents):
+            up[p] += m
+        ratios = [Fraction(m, up[p]) if exact else m / up[p] for m, p in zip(mass, parents)]
+        weights.append(np.array(ratios)[:, None])
+        mass = up
     return weights
-
-
-def _rank_slots(topology: Topology, weights):
-    """slots[layer-1][k] = (parents, their k-th children, those children's weights
-    as a column); summing rank by rank keeps each parent's child order."""
-    slots = []
-    for kids, per_parent in zip(topology.children, weights):
-        ranks = []
-        for k in range(max(map(len, kids))):
-            ps = [p for p, c in enumerate(kids) if len(c) > k]
-            col = np.array([[per_parent[p][k]] for p in ps])  # object dtype for Fractions
-            ranks.append((np.array(ps), np.array([kids[p][k] for p in ps]), col))
-        slots.append(ranks)
-    return slots
 
 
 def _evaluate(task: Task, w: np.ndarray, weighted: bool) -> tuple[float, float]:
@@ -202,7 +173,7 @@ def run(
     n_dev = task.n_devices
     # hop l completes every spans[l-1] device steps: one burst of layer l-1
     spans = [math.prod(schedule.taus[:hop]) for hop in range(1, n_layers + 1)]
-    slots = _rank_slots(topology, _node_weights(topology, task, weighted, exact))
+    weights = _hop_weights(topology, task, weighted, exact)
     parents = [np.asarray(p) for p in topology.parents]
 
     metrics = RunMetrics()
@@ -230,9 +201,9 @@ def run(
                 while top < n_layers and step % spans[top] == 0:
                     spec, delta = quantizers[top], acc[top]
                     payload = delta if spec.is_identity else quantize(spec, delta, hop_rngs[top])
+                    # np.add.at adds in index order: each parent sums its children in order
+                    np.add.at(acc[top + 1], parents[top], weights[top] * payload)
                     top += 1
-                    for ps, kids, wts in slots[top - 1]:
-                        acc[top][ps] = acc[top][ps] + wts * payload[kids]
         except NonFiniteInput as exc:
             raise Diverged(f"round {t}: {exc}") from exc
         w = w + acc[n_layers][0]

@@ -62,6 +62,7 @@ class Task:
     dim: int
     batch_size: int
     datasets: list[LocalDataset]
+    theory_source = "certified"  # how theory_constants are known: "exact" or "certified"
 
     @property
     def n_devices(self) -> int:
@@ -72,6 +73,12 @@ class Task:
 
     def local_loss(self, device: int, w: np.ndarray) -> float:
         raise NotImplementedError
+
+    def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
+        """The TheoryParams constants (lipschitz, sigma2, gap0) this task can
+        bound for the objective trained from w0, device-averaged or, when
+        `weighted`, dataset-size-weighted; none without a cheap global bound."""
+        return {}
 
     def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -108,6 +115,7 @@ class QuadraticTask(Task):
     """Per-sample loss ||w - c||^2 / 2 on device-local target points."""
 
     kind = "quadratic"
+    theory_source = "exact"
 
     def __init__(self, datasets: list[LocalDataset], batch_size: int):
         self.datasets = datasets
@@ -132,6 +140,16 @@ class QuadraticTask(Task):
     def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         batch = self.datasets[device].features[idx]
         return w - batch.sum(axis=0) / len(batch)
+
+    def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
+        """L = 1 (the Hessian is I), the noise bound below and F(w0) - F(optimum),
+        exact for the device average, which weighting changes only when
+        dataset sizes differ."""
+        if weighted and len(set(self.dataset_sizes())) > 1:
+            return {}
+        loss = flat_global_loss(self)
+        gap0 = float(loss(w0) - loss(self.optimum()))
+        return {"lipschitz": 1.0, "sigma2": self.gradient_noise_sigma2(), "gap0": gap0}
 
     def optimum(self) -> np.ndarray:
         """Unweighted global minimizer: the mean of the device means."""
@@ -213,6 +231,16 @@ class LogisticTask(Task):
 
     def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
         return self.batch_gradient(device, w, np.arange(self.datasets[device].size))
+
+    def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
+        """Certified bounds from R^2 = max ||x||^2 over all devices (Bottou,
+        Curtis & Nocedal, SIAM Rev. 2018): each sample's loss Hessian is at
+        most x x^T / 4, so L = R^2/4; each per-sample gradient is shorter
+        than ||x||, so a batch gradient is within 2R of the global one and
+        sigma2 = 4R^2; the loss is >= 0, so the gap is at most F(w0)."""
+        r2 = max(float((ds.features**2).sum(axis=1).max()) for ds in self.datasets)
+        gap0 = float(flat_global_loss(self, weighted)(w0))
+        return {"lipschitz": r2 / 4, "sigma2": 4 * r2, "gap0": gap0}
 
     def accuracy(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
         pred = np.where(features @ w >= 0.0, 1, -1)
@@ -413,23 +441,3 @@ def make_blob_pool(
         holdout_features=features[:n_hold],
         holdout_labels=labels[:n_hold],
     )
-
-
-def estimate_sigma2(
-    task: Task,
-    w0: np.ndarray,
-    rng: np.random.Generator,
-    trials: int = 200,
-) -> float:
-    """Empirical gradient-variance bound at w0: worst device's mean squared
-    deviation of stochastic gradients from the global full-batch gradient."""
-    g_ref = task.global_gradient(w0)
-    worst = 0.0
-    for i in range(task.n_devices):
-        acc = 0.0
-        for _ in range(trials):
-            g = task.stochastic_gradient(i, w0, rng)
-            diff = g - g_ref
-            acc += float(np.dot(diff, diff))
-        worst = max(worst, acc / trials)
-    return worst

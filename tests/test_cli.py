@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from hierfed import engine
 from hierfed.cli import (
@@ -122,6 +125,29 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert summary["final_accuracy"] is not None
         assert summary["final_accuracy"] > 0.5
+        assert summary["theory"] is None  # no cheap global L or sigma2
+
+    def test_tiny_mlp_theory_from_config(self, tmp_path, capsys):
+        cfg = quad_config(
+            tmp_path,
+            task={
+                "kind": "tiny_mlp",
+                "pool": {"synthetic": {"samples": 600, "classes": 3, "dim": 2}},
+                "size_range": [20, 30],
+                "hidden": 2,
+            },
+            theory={"lipschitz": 3.0, "sigma2": 2.0},
+        )
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["theory", str(path)]) == 2
+        assert "gap0" in capsys.readouterr().err
+        cfg["theory"]["gap0"] = 1.5
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["theory", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [out[k] for k in ("lipschitz", "sigma2", "gap0")] == [3.0, 2.0, 1.5]
+        assert out["sources"] == {"lipschitz": "config", "sigma2": "config", "gap0": "config"}
 
     def test_logistic_partition_case(self, tmp_path):
         cfg = quad_config(
@@ -137,6 +163,80 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         assert summary["final_accuracy"] is not None
+        theory = summary["theory"]
+        assert theory["sources"] == {"lipschitz": "certified", "sigma2": "certified", "gap0": "certified"}
+        assert theory["sigma2"] == 16 * theory["lipschitz"]  # 4 R^2 and R^2 / 4
+        # the loss is >= 0, so F(w0) = ln 2 at w0 = 0 bounds the gap
+        assert theory["gap0"] == pytest.approx(np.log(2.0), rel=1e-12)
+
+    def test_quadratic_theory_sources(self, tmp_path):
+        exact = run_experiment(quad_config(tmp_path))["theory"]
+        assert exact["sources"] == {"lipschitz": "exact", "sigma2": "exact", "gap0": "exact"}
+        assert exact["lipschitz"] == 1.0
+        mixed = run_experiment(quad_config(tmp_path, theory={"lipschitz": 2.0, "gap0": None}))["theory"]
+        assert mixed["sources"] == {"lipschitz": "config", "sigma2": "exact", "gap0": "exact"}
+        assert mixed["lipschitz"] == 2.0
+        assert (mixed["sigma2"], mixed["gap0"]) == (exact["sigma2"], exact["gap0"])
+
+
+@st.composite
+def trees(draw):
+    """A topology config of depth 1-4: uniform fanouts, or ragged parents with
+    each layer's children shuffled across their parents."""
+    depth = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        fanouts = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+        sizes = [math.prod(fanouts[n:]) for n in range(depth)] + [1]
+        return {"layer_sizes": sizes, "fanouts": fanouts}
+    sizes, parents = [1], []
+    for _ in range(depth):
+        up = sizes[0]
+        extra = draw(st.lists(st.integers(0, up - 1), max_size=3))
+        parents.insert(0, draw(st.permutations(list(range(up)) + extra)))
+        sizes.insert(0, len(parents[0]))
+    return {"layer_sizes": sizes, "parents": parents}
+
+
+@st.composite
+def round_trip_configs(draw):
+    tree = draw(trees())
+    depth = len(tree["layer_sizes"]) - 1
+    if draw(st.booleans()):
+        task = {"kind": "quadratic", "dimension": 2, "samples_per_device": 3, "batch_size": 2,
+                "init_scale": draw(st.sampled_from([0.0, 1.0]))}
+    else:
+        # 81 devices (fanouts 3^4) take at most 162 samples of each class
+        task = {"kind": "logistic", "pool": {"synthetic": {"samples": 1500, "classes": 3, "dim": 2}},
+                "size_range": [3, 6], "batch_size": 2}
+    levels = st.one_of(st.none(), st.integers(1, 8))
+    quantizers = [{"kind": "identity"} if s is None else {"kind": "stochastic_levels", "levels": s}
+                  for s in draw(st.lists(levels, min_size=depth, max_size=depth))]
+    return {
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "topology": tree,
+        "task": task,
+        "schedule": {"taus": draw(st.lists(st.integers(1, 2), min_size=depth, max_size=depth)),
+                     "rounds": draw(st.integers(1, 2))},
+        "quantizers": quantizers,
+        "lr": 0.05,
+        "weighted": draw(st.booleans()),
+        "latency": {"frequencies": {"min": 0.5e9, "max": 2e9}},
+    }
+
+
+class TestEchoRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(round_trip_configs())
+    def test_run_echo_rerun_identical(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            run_experiment(cfg, first)
+            echoed = json.loads((first / "summary.json").read_text())["config"]
+            run_experiment(echoed, second)
+            assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+            summaries = [json.loads((d / "summary.json").read_text()) for d in (first, second)]
+            assert summaries[0] == summaries[1]
+            assert summaries[0]["theory"]["sources"]
 
 
 class TestPoolFile:
@@ -278,12 +378,12 @@ class TestMainEntry:
         assert main(["run", self.write(tmp_path, cfg)]) == 2
 
     @pytest.mark.parametrize(
-        "command, overrides",
+        "command, overrides, named",
         [
-            ("run", {"quantizers": [{"kind": "bogus"}] * 3}),
-            ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}),
-            ("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}),
-            ("run", {"lr": -0.05}),  # rejected by the theory block, after training
+            ("run", {"quantizers": [{"kind": "bogus"}] * 3}, "bogus"),
+            ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}, "fanouts"),
+            ("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}, "iteration counts"),
+            ("run", {"lr": -0.05}, "mu must be positive"),  # rejected by the theory block, after training
             (  # reduce_depth needs a uniform fan-out tree
                 "compare-depths",
                 {
@@ -291,13 +391,26 @@ class TestMainEntry:
                     "compare": {"depths": [1]},
                     "schedule": {"taus": [2], "rounds": 2},
                 },
+                "uniform fan-out",
             ),
+            # malformed shapes, each checked where the config is read
+            ("run", {"quantizers": [4, 6, 8]}, "quantizers"),
+            ("run", {"latency": {"deadline": 1e9, "frequencies": {"min": 1e9}}}, "'max'"),
+            ("run", {"latency": {"deadline": 1e9, "t_edge": {"mult": [10, 20]}}}, "'multipliers'"),
+            ("run", {"schedule": [1, 2]}, "'schedule'"),
+            ("run", {"topology": 5}, "'topology'"),
+            ("compare-depths", {"compare": {"depths": [3], "kappas": [1.0]}}, "'kappas'"),
         ],
-        ids=["quantizer", "topology", "schedule", "theory", "compare_depths"],
+        ids=[
+            "quantizer", "topology", "schedule", "theory", "compare_depths",
+            "quantizer_entry_shape", "frequencies_no_max", "t_edge_no_multipliers", "schedule_shape",
+            "topology_shape", "compare_kappas_shape",
+        ],
     )
-    def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides):
+    def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
         assert main([command, self.write(tmp_path, quad_config(tmp_path, **overrides))]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
 
     def test_internal_value_error_exit_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -414,6 +527,14 @@ class TestMainEntry:
         for command in ("measure-q", "theory", "optimize"):
             assert main([command, path]) == 0, command
             json.loads(capsys.readouterr().out)
+
+    def test_readme_library_example(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        assert "theory_constants" in code
+        exec(compile(code, "README.md", "exec"), {})
+        measured, bound = capsys.readouterr().out.split(" <= ")
+        assert float(measured) <= float(bound)
 
     def test_compare_depths_subcommand(self, tmp_path, capsys):
         cfg = quad_config(

@@ -266,7 +266,7 @@ class TestWeightedMode:
 
 class TestWeights:
     def test_aggregation_weights_sum_to_one(self):
-        from hierfed.engine import _node_weights
+        from hierfed.engine import _hop_weights
 
         rng = np.random.default_rng(20)
         topo = random_3layer(rng)
@@ -274,13 +274,19 @@ class TestWeights:
         task = QuadraticTask(
             [LocalDataset(features=rng.normal(size=(s, 1))) for s in sizes], batch_size=1
         )
+
+        def per_parent_sums(weights):
+            for hop, column in enumerate(weights, start=1):
+                assert column.shape == (topo.layer_sizes[hop - 1], 1)
+                for node in range(topo.layer_sizes[hop]):
+                    yield sum(column[c, 0] for c in topo.children_of(hop, node))
+
         for weighted in (False, True):
-            weights = _node_weights(topo, task, weighted, exact=False)
-            for layer in weights:
-                for row in layer:
-                    assert sum(row) == pytest.approx(1.0, abs=1e-12)
-        exact = _node_weights(topo, task, True, exact=True)
-        assert all(sum(row) == 1 for layer in exact for row in layer)
+            for total in per_parent_sums(_hop_weights(topo, task, weighted, exact=False)):
+                assert total == pytest.approx(1.0, abs=1e-12)
+            exact = _hop_weights(topo, task, weighted, exact=True)
+            assert all(type(v) is Fraction for column in exact for v in column[:, 0])
+            assert all(total == 1 for total in per_parent_sums(exact))
 
     def test_centralized_step_exact_rationals(self):
         # identity quantizers + unit counts reproduce one global gradient step

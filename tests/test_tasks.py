@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hierfed.tasks import (
     BatchTooLarge,
@@ -10,7 +12,6 @@ from hierfed.tasks import (
     LogisticTask,
     QuadraticTask,
     TinyMLPTask,
-    estimate_sigma2,
     flat_global_loss,
     global_loss,
     make_blob_pool,
@@ -21,6 +22,21 @@ from hierfed.tasks import _sample_batch
 from hierfed.topology import build_topology
 
 FIG1 = build_topology([11, 4, 2, 1], parents=[[0, 0, 0, 1, 2, 2, 3, 3, 3, 3, 3], [0, 0, 1, 1], [0, 0]])
+
+
+def estimate_sigma2(task, w0, rng, trials):
+    """Monte-Carlo oracle for gradient_noise_sigma2: the worst device's mean
+    squared deviation of stochastic gradients at w0 from the global
+    full-batch gradient."""
+    g_ref = task.global_gradient(w0)
+    worst = 0.0
+    for i in range(task.n_devices):
+        acc = 0.0
+        for _ in range(trials):
+            diff = task.stochastic_gradient(i, w0, rng) - g_ref
+            acc += float(np.dot(diff, diff))
+        worst = max(worst, acc / trials)
+    return worst
 
 
 def point_task(centers, batch_size=1):
@@ -115,6 +131,26 @@ class TestQuadratic:
         emp = estimate_sigma2(task, np.zeros(2), np.random.default_rng(7), trials=4000)
         assert abs(emp - exact) / exact < 0.15
 
+    def test_theory_constants_exact(self):
+        task = make_quadratic_task(5, 3, np.random.default_rng(22), batch_size=4)
+        w0 = np.full(3, 2.0)
+        consts = task.theory_constants(w0)
+        assert task.theory_source == "exact"
+        assert consts["lipschitz"] == 1.0
+        assert consts["sigma2"] == task.gradient_noise_sigma2()
+        # F(w) - F* = ||w - optimum||^2 / 2 for this task
+        assert consts["gap0"] == pytest.approx(float(np.sum((w0 - task.optimum()) ** 2)) / 2, rel=1e-12)
+        # equal dataset sizes: the weighted objective is the device average
+        assert task.theory_constants(w0, weighted=True) == consts
+
+    def test_theory_constants_weighted_ragged_certifies_nothing(self):
+        # with unequal sizes the weighted objective has another optimum and noise
+        rng = np.random.default_rng(23)
+        ds = [LocalDataset(features=rng.normal(size=(s, 2))) for s in (2, 5)]
+        task = QuadraticTask(ds, batch_size=2)
+        assert task.theory_constants(np.zeros(2), weighted=True) == {}
+        assert set(task.theory_constants(np.zeros(2))) == {"lipschitz", "sigma2", "gap0"}
+
 
 class TestLogistic:
     def test_loss_at_zero_is_ln2(self):
@@ -138,6 +174,49 @@ class TestLogistic:
             assert abs(fd - g[k]) < 1e-6
 
 
+_COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def logistic_cases(draw):
+    """A logistic task (single-sample devices included), a start point w0 and
+    a point w (each possibly 0), a weighting and a batch-draw seed."""
+    dim = draw(st.integers(1, 3))
+    datasets = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 4))
+        x = draw(arrays(np.float64, (size, dim), elements=_COORD))
+        y = draw(arrays(np.int64, size, elements=st.sampled_from([-1, 1])))
+        datasets.append(LocalDataset(features=x, labels=y))
+    task = LogisticTask(datasets, batch_size=draw(st.integers(1, min(ds.size for ds in datasets))))
+    point = st.one_of(st.just(np.zeros(dim)), arrays(np.float64, dim, elements=_COORD))
+    return task, draw(point), draw(point), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestLogisticTheoryConstants:
+    @settings(max_examples=300, deadline=None)
+    @given(logistic_cases())
+    def test_constants_bound_the_objective(self, case):
+        task, w0, w, weighted, seed = case
+        consts = task.theory_constants(w0, weighted)
+        # L bounds every device's Hessian, mean of p(1-p) x x^T, at w
+        for ds in task.datasets:
+            p = 1.0 / (1.0 + np.exp(-ds.labels * (ds.features @ w)))
+            hess = np.einsum("n,ni,nj->ij", p * (1.0 - p), ds.features, ds.features) / ds.size
+            assert np.linalg.eigvalsh(hess)[-1] <= consts["lipschitz"] * (1.0 + 1e-12)
+        # sigma2 bounds the squared deviation of any batch gradient at w
+        sizes = task.dataset_sizes()
+        g = task.global_gradient(w, [s / sum(sizes) for s in sizes] if weighted else None)
+        rng = np.random.default_rng(seed)
+        for i, ds in enumerate(task.datasets):
+            for _ in range(4):
+                diff = task.batch_gradient(i, w, _sample_batch(ds.size, task.batch_size, rng)) - g
+                assert float(diff @ diff) <= consts["sigma2"]
+        # gap0 bounds F(w0) - F(w) under the run's weighting
+        loss = flat_global_loss(task, weighted)
+        assert loss(w0) - loss(w) <= consts["gap0"]
+
+
 class TestTinyMLP:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -153,6 +232,11 @@ class TestTinyMLP:
             e[k] = eps
             fd = (task.local_loss(0, w + e) - task.local_loss(0, w - e)) / (2 * eps)
             assert abs(fd - g[k]) < 1e-5
+
+    def test_certifies_no_theory_constants(self):
+        task = TinyMLPTask([LocalDataset(features=np.ones((2, 2)), labels=np.array([0, 1]))],
+                           batch_size=2, n_classes=2, hidden=2)
+        assert task.theory_constants(np.zeros(task.dim)) == {}
 
     def test_hidden_cap(self):
         with pytest.raises(ValueError):
