@@ -88,16 +88,26 @@ def _section(cfg: dict, key: str, where: str = "config", required: bool = True) 
     return dict(value)
 
 
+def _list(cfg: dict, key: str, kind, where: str = "config", default=None) -> list:
+    """kind(entry) for each entry of the list under `key`; a key with a
+    default may be absent."""
+    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+    with contextlib.suppress(TypeError, ValueError):
+        if isinstance(value, (list, tuple)):
+            return [kind(v) for v in value]
+    raise ConfigError(f"{where} key {key!r} must be a list of {kind.__name__} values, got {value!r}")
+
+
 @_config_errors()
 def _build_topology(cfg: dict) -> Topology:
     tcfg = _section(cfg, "topology")
     if "file" in tcfg:
         tcfg = load_config(tcfg["file"])
-    sizes = _require(tcfg, "layer_sizes", "topology")
+    sizes = _list(tcfg, "layer_sizes", int, "topology")
     if "fanouts" in tcfg:
-        return build_topology(sizes, fanouts=tcfg["fanouts"])
+        return build_topology(sizes, fanouts=_list(tcfg, "fanouts", int, "topology"))
     if "parents" in tcfg:
-        return build_topology(sizes, parents=tcfg["parents"])
+        return build_topology(sizes, parents=_list(tcfg, "parents", list, "topology"))
     raise ConfigError("topology needs fanouts or parents (inline or via file)")
 
 
@@ -164,7 +174,9 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
     elif kind in ("logistic", "tiny_mlp"):
         pool, pool_resolved = _load_pool(_section(tcfg, "pool", "task"), seed)
         case = int(tcfg.get("partition_case", 3))
-        size_range = [int(v) for v in tcfg.get("size_range", [20, 40])]
+        size_range = _list(tcfg, "size_range", int, "task", default=[20, 40])
+        if len(size_range) != 2:
+            raise ConfigError(f"task key 'size_range' must be [lo, hi], got {size_range!r}")
         resolved.update(partition_case=case, size_range=size_range, pool=pool_resolved)
         try:
             parts = tasks_mod.partition(
@@ -220,12 +232,14 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
     elif isinstance(freqs, dict):
         lo, hi = (float(_require(freqs, k, "latency.frequencies")) for k in ("min", "max"))
         freqs = _stream(seed, _FREQ_STREAM, 0).uniform(lo, hi, size=topo.n_devices).tolist()
+    else:
+        freqs = _list(lcfg, "frequencies", float, "latency")
     model_bits = lcfg.get("model_bits")
     if model_bits is None:
         model_bits = 32.0 * task.dim
     params = latency_mod.LatencyParams(
         cycles_per_sample=float(lcfg.get("cycles_per_sample", 0.25e9)),
-        frequencies=[float(f) for f in freqs],
+        frequencies=freqs,
         batch_size=int(lcfg.get("batch_size", task.batch_size)),
         model_bits=float(model_bits),
         bandwidth=float(lcfg.get("bandwidth", 1e6)),
@@ -243,7 +257,9 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         t_edge = [10.0 * (k + 1) * t_de for k in range(n_layers - 1)]
     elif isinstance(t_edge, dict):
         t_de = latency_mod.compute_tde(params)
-        t_edge = [float(m) * t_de for m in _require(t_edge, "multipliers", "latency.t_edge")]
+        t_edge = [m * t_de for m in _list(t_edge, "multipliers", float, "latency.t_edge")]
+    else:
+        t_edge = _list(lcfg, "t_edge", float, "latency")
     if len(t_edge) < n_layers - 1:
         raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries")
     params.t_edge = [float(v) for v in t_edge[: max(0, n_layers - 1)]]
@@ -328,11 +344,17 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     s.lr = float(_require(cfg, "lr"))
     s.weighted = bool(cfg.get("weighted", False))
     s.theory = _section(cfg, "theory", required=False)
+    for k in _THEORY_CONSTANTS:
+        if s.theory.get(k) is not None:
+            try:
+                s.theory[k] = float(s.theory[k])
+            except (TypeError, ValueError):
+                raise ConfigError(f"theory key {k!r} must be a number, got {s.theory[k]!r}") from None
     if scfg.get("optimize", False):
         s.optimizer = gp_optimizer.optimize(s.objective())
         taus = s.optimizer.taus_integer
     else:
-        taus = tuple(int(v) for v in _require(scfg, "taus", "schedule"))
+        taus = tuple(_list(scfg, "taus", int, "schedule"))
     s.sched = engine.Schedule(taus, s.lat.rounds)
     scale = task_resolved["init_scale"]
     s.w0 = scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim) if scale else np.zeros(task.dim)
@@ -351,15 +373,16 @@ def _theory_block(s: _Setup) -> dict | None:
     if len(constants) < len(_THEORY_CONSTANTS):
         return None
     with _config_errors():
-        constants = {k: float(v) for k, v in constants.items()}
         params = theory_mod.TheoryParams(**constants, mu=s.lr, q=s.q, topology=s.topo, schedule=s.sched)
     speed, err, total = theory_mod.rate_bound(params, s.sched.global_rounds)
+    condition = theory_mod.condition_lhs(params)
     return {
         "lipschitz": params.lipschitz,
         "sigma2": params.sigma2,
         "gap0": params.gap0,
         "sources": {k: "config" if k in given else s.task.theory_source for k in _THEORY_CONSTANTS},
-        "condition_value": theory_mod.condition_lhs(params),
+        "condition_value": condition,
+        "bound_applies": condition >= 0.0,  # the bound terms below hold only then
         "max_feasible_mu": theory_mod.max_feasible_mu(params),
         "bound_speed_term": speed,
         "bound_error_term": err,
@@ -463,12 +486,11 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     """
     ccfg = _section(cfg, "compare", required=False)
     if depths is None:
-        depths = [int(d) for d in _require(ccfg, "depths", "compare")]
+        depths = _list(ccfg, "depths", int, "compare")
     threshold = float(ccfg.get("threshold", 1e-4))
     kappas = {int(k): float(v) for k, v in _section(ccfg, "kappas", "compare", required=False).items()}
-    taus_map = {
-        int(k): [int(x) for x in v] for k, v in _section(ccfg, "taus", "compare", required=False).items()
-    }
+    taus_cfg = _section(ccfg, "taus", "compare", required=False)
+    taus_map = {int(k): _list(taus_cfg, k, int, "compare.taus") for k in taus_cfg}
 
     base = _build_topology(cfg)
     rows = []
@@ -487,7 +509,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
         if depth in taus_map:
             sub_sched["taus"] = taus_map[depth]
             sub_sched.pop("optimize", None)
-        elif len(sub_sched.get("taus", [])) != depth:
+        elif len(_list(sub_sched, "taus", int, "schedule", default=[])) != depth:
             raise ConfigError(f"no schedule of length {depth} for depth {depth}")
         sub["schedule"] = sub_sched
         sub_lat = _section(cfg, "latency", required=False)

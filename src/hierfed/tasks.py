@@ -224,13 +224,14 @@ class LogisticTask(Task):
         _, _, m = self._margins(device, w)
         return float(np.mean(np.logaddexp(0.0, -m)))
 
-    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+        """Mean-loss gradient over the rows idx, or over all rows when None."""
         x, y, m = self._margins(device, w, idx)
         coeff = -y / (1.0 + np.exp(m))
         return (coeff[:, None] * x).mean(axis=0)
 
     def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
-        return self.batch_gradient(device, w, np.arange(self.datasets[device].size))
+        return self.batch_gradient(device, w, None)
 
     def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
         """Certified bounds from R^2 = max ||x||^2 over all devices (Bottou,
@@ -286,8 +287,7 @@ class TinyMLPTask(Task):
         b2 = w[ofs : ofs + k]
         return w1, b1, w2, b2
 
-    def _forward(self, w: np.ndarray, x: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(w)
+    def _forward(self, x: np.ndarray, w1, b1, w2, b2):
         hid = np.tanh(x @ w1.T + b1)
         logits = hid @ w2.T + b2
         logits = logits - logits.max(axis=1, keepdims=True)
@@ -295,12 +295,12 @@ class TinyMLPTask(Task):
         probs /= probs.sum(axis=1, keepdims=True)
         return hid, probs
 
-    def _loss_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
+    def _gradient(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Backprop of the mean cross-entropy over (x, y); the loss itself is
+        never formed, and the softmax buffer becomes dlogits in place."""
         w1, b1, w2, b2 = self._unpack(w)
-        hid, probs = self._forward(w, x)
+        hid, dlogits = self._forward(x, w1, b1, w2, b2)
         n = len(x)
-        loss = -float(np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-        dlogits = probs.copy()
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
         dw2 = dlogits.T @ hid
@@ -308,24 +308,23 @@ class TinyMLPTask(Task):
         dhid = (dlogits @ w2) * (1.0 - hid * hid)
         dw1 = dhid.T @ x
         db1 = dhid.sum(axis=0)
-        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-        return loss, grad
+        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
     def local_loss(self, device: int, w: np.ndarray) -> float:
         ds = self.datasets[device]
-        loss, _ = self._loss_grad(w, ds.features, ds.labels)
-        return loss
+        _, probs = self._forward(ds.features, *self._unpack(w))
+        return -float(np.mean(np.log(probs[np.arange(ds.size), ds.labels] + 1e-300)))
 
     def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         ds = self.datasets[device]
-        _, grad = self._loss_grad(w, ds.features[idx], ds.labels[idx])
-        return grad
+        return self._gradient(w, ds.features[idx], ds.labels[idx])
 
     def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
-        return self.batch_gradient(device, w, np.arange(self.datasets[device].size))
+        ds = self.datasets[device]
+        return self._gradient(w, ds.features, ds.labels)
 
     def accuracy(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        _, probs = self._forward(w, features)
+        _, probs = self._forward(features, *self._unpack(w))
         return float(np.mean(probs.argmax(axis=1) == labels))
 
 

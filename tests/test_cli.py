@@ -201,13 +201,18 @@ def trees(draw):
 def round_trip_configs(draw):
     tree = draw(trees())
     depth = len(tree["layer_sizes"]) - 1
-    if draw(st.booleans()):
-        task = {"kind": "quadratic", "dimension": 2, "samples_per_device": 3, "batch_size": 2,
+    kind = draw(st.sampled_from(["quadratic", "logistic", "tiny_mlp"]))
+    theory = {}
+    if kind == "quadratic":
+        task = {"kind": kind, "dimension": 2, "samples_per_device": 3, "batch_size": 2,
                 "init_scale": draw(st.sampled_from([0.0, 1.0]))}
     else:
         # 81 devices (fanouts 3^4) take at most 162 samples of each class
-        task = {"kind": "logistic", "pool": {"synthetic": {"samples": 1500, "classes": 3, "dim": 2}},
+        task = {"kind": kind, "pool": {"synthetic": {"samples": 1500, "classes": 3, "dim": 2}},
                 "size_range": [3, 6], "batch_size": 2}
+    if kind == "tiny_mlp":
+        task["hidden"] = draw(st.integers(1, 4))
+        theory = {"lipschitz": 4.0, "sigma2": 2.0, "gap0": 1.0}  # the MLP certifies none
     levels = st.one_of(st.none(), st.integers(1, 8))
     quantizers = [{"kind": "identity"} if s is None else {"kind": "stochastic_levels", "levels": s}
                   for s in draw(st.lists(levels, min_size=depth, max_size=depth))]
@@ -220,6 +225,7 @@ def round_trip_configs(draw):
         "quantizers": quantizers,
         "lr": 0.05,
         "weighted": draw(st.booleans()),
+        "theory": theory,
         "latency": {"frequencies": {"min": 0.5e9, "max": 2e9}},
     }
 
@@ -400,11 +406,28 @@ class TestMainEntry:
             ("run", {"schedule": [1, 2]}, "'schedule'"),
             ("run", {"topology": 5}, "'topology'"),
             ("compare-depths", {"compare": {"depths": [3], "kappas": [1.0]}}, "'kappas'"),
+            # list-valued keys given a scalar, and a theory constant given a list
+            ("run", {"schedule": {"taus": 5, "rounds": 8}}, "'taus'"),
+            ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": 5}}, "'fanouts'"),
+            ("run", {"latency": {"deadline": 1e9, "frequencies": 5}}, "'frequencies'"),
+            (
+                "run",
+                {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400}}, "size_range": 5}},
+                "'size_range'",
+            ),
+            (
+                "run",
+                {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400}}, "size_range": [5]}},
+                "'size_range'",
+            ),
+            ("theory", {"theory": {"sigma2": [1]}}, "'sigma2'"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
             "quantizer_entry_shape", "frequencies_no_max", "t_edge_no_multipliers", "schedule_shape",
             "topology_shape", "compare_kappas_shape",
+            "taus_scalar", "fanouts_scalar", "frequencies_scalar", "size_range_scalar",
+            "size_range_length", "theory_constant_list",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -467,6 +490,20 @@ class TestMainEntry:
         assert out["bound_total"] == pytest.approx(
             out["bound_speed_term"] + out["bound_error_term"], rel=1e-12
         )
+
+    def test_bound_applies_labels_the_condition(self, tmp_path, capsys):
+        # the README config: lr 0.01 against a largest feasible lr of about 0.001
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        cfg = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+        assert main(["theory", self.write(tmp_path, cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["condition_value"] < 0 and out["max_feasible_mu"] < cfg["lr"]
+        assert out["bound_applies"] is False
+        cfg["lr"] = out["max_feasible_mu"]
+        assert main(["theory", self.write(tmp_path, cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["condition_value"] >= 0 and out["bound_applies"] is True
+        assert run_experiment(quad_config(tmp_path))["theory"]["bound_applies"] is True
 
     def test_optimize_subcommand_with_oracle(self, tmp_path, capsys):
         cfg = quad_config(

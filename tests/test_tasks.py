@@ -18,6 +18,8 @@ from hierfed.tasks import (
     make_quadratic_task,
     partition,
 )
+from hierfed.engine import Schedule, run
+from hierfed.quantizer import stochastic
 from hierfed.tasks import _sample_batch
 from hierfed.topology import build_topology
 
@@ -253,6 +255,100 @@ class TestTinyMLP:
             g = task.full_gradient(0, w) + task.full_gradient(1, w)
             w = w - 0.5 * g / 2
         assert task.accuracy(w, pool.holdout_features, pool.holdout_labels) > 0.8
+
+
+class ReferenceTinyMLP(TinyMLPTask):
+    """Every call through one pass that builds both the loss and the gradient,
+    and full-batch calls through an index gather: the tiny-MLP code before
+    its methods were split, kept verbatim as the oracle for the split."""
+
+    def _forward_ref(self, w: np.ndarray, x: np.ndarray):
+        w1, b1, w2, b2 = self._unpack(w)
+        hid = np.tanh(x @ w1.T + b1)
+        logits = hid @ w2.T + b2
+        logits = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return hid, probs
+
+    def _loss_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
+        w1, b1, w2, b2 = self._unpack(w)
+        hid, probs = self._forward_ref(w, x)
+        n = len(x)
+        loss = -float(np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+        dlogits = probs.copy()
+        dlogits[np.arange(n), y] -= 1.0
+        dlogits /= n
+        dw2 = dlogits.T @ hid
+        db2 = dlogits.sum(axis=0)
+        dhid = (dlogits @ w2) * (1.0 - hid * hid)
+        dw1 = dhid.T @ x
+        db1 = dhid.sum(axis=0)
+        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        return loss, grad
+
+    def local_loss(self, device: int, w: np.ndarray) -> float:
+        ds = self.datasets[device]
+        loss, _ = self._loss_grad(w, ds.features, ds.labels)
+        return loss
+
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        ds = self.datasets[device]
+        _, grad = self._loss_grad(w, ds.features[idx], ds.labels[idx])
+        return grad
+
+    def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
+        return self.batch_gradient(device, w, np.arange(self.datasets[device].size))
+
+
+def mlp_pair(seed, n_devices=1, size_range=(6, 12), hidden=5, n_classes=4, dim=3, batch=1):
+    """The same seeded tiny-MLP task as TinyMLPTask and as ReferenceTinyMLP."""
+    rng = np.random.default_rng(seed)
+    pool = make_blob_pool(400, n_classes, dim, rng)
+    parts = partition(pool.features, pool.labels, n_devices, 3, size_range, rng)
+    return tuple(cls(parts, batch_size=batch, n_classes=n_classes, hidden=hidden)
+                 for cls in (TinyMLPTask, ReferenceTinyMLP))
+
+
+class TestTinyMLPSplit:
+    """Each split method equals the combined pass bit for bit: the same numpy
+    operations on the same operands, so the same BLAS calls and roundings."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_combined_pass(self, seed):
+        task, ref = mlp_pair(seed, hidden=1 + seed, n_classes=2 + seed % 3)
+        rng = np.random.default_rng(100 + seed)
+        size = task.datasets[0].size
+        for _ in range(3):
+            w = rng.standard_normal(task.dim)
+            for batch in (1, size // 2, size):
+                idx = _sample_batch(size, batch, rng)
+                assert np.array_equal(task.batch_gradient(0, w, idx), ref.batch_gradient(0, w, idx))
+            assert np.array_equal(task.full_gradient(0, w), ref.full_gradient(0, w))
+            assert task.local_loss(0, w) == ref.local_loss(0, w)
+
+    def test_engine_run_bitwise_equal(self):
+        task, ref = mlp_pair(7, n_devices=4, size_range=(10, 14), hidden=3, batch=4)
+        topo = build_topology([4, 2, 1], fanouts=[2, 2])
+        sched = Schedule((2, 2), 3)
+        w0 = 0.1 * np.random.default_rng(8).standard_normal(task.dim)
+        runs = [run(t, topo, sched, [stochastic(8), stochastic(12)], 0.2, seed=9, w0=w0) for t in (task, ref)]
+        assert runs[0].loss == runs[1].loss
+        assert runs[0].grad_norm_sq == runs[1].grad_norm_sq
+        assert runs[0].final_loss == runs[1].final_loss
+        assert np.array_equal(runs[0].final_model, runs[1].final_model)
+
+
+class TestLogisticFullGradient:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_batch_gradient_over_all_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 20))
+        x = rng.normal(size=(size, 3))
+        task = LogisticTask([LocalDataset(features=x, labels=np.where(rng.random(size) < 0.5, -1, 1))],
+                            batch_size=1)
+        w = rng.normal(size=3)
+        assert np.array_equal(task.full_gradient(0, w), task.batch_gradient(0, w, np.arange(size)))
 
 
 class TestGlobalLoss:
