@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -98,6 +99,16 @@ def _list(cfg: dict, key: str, kind, where: str = "config", default=None) -> lis
     raise ConfigError(f"{where} key {key!r} must be a list of {kind.__name__} values, got {value!r}")
 
 
+def _scalar(cfg: dict, key: str, kind, where: str = "config", default=None):
+    """kind(value) of the single value under `key`; a key with a default may
+    be absent or null. Number strings such as "1e9" are accepted."""
+    value = _require(cfg, key, where) if default is None else cfg.get(key)
+    value = default if value is None else value
+    with contextlib.suppress(TypeError, ValueError):
+        return kind(value)
+    raise ConfigError(f"{where} key {key!r} must be a single {kind.__name__} value, got {value!r}")
+
+
 @_config_errors()
 def _build_topology(cfg: dict) -> Topology:
     tcfg = _section(cfg, "topology")
@@ -116,7 +127,7 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
     if "file" in pool_cfg:
         raw = np.loadtxt(pool_cfg["file"], delimiter=",", skiprows=1)
         feats, labels = raw[:, :-1], raw[:, -1].astype(int)
-        holdout = float(pool_cfg.get("holdout_fraction", 0.2))
+        holdout = _scalar(pool_cfg, "holdout_fraction", float, "task.pool", 0.2)
         order = _stream(seed, _TASK_GEN_STREAM, 1).permutation(len(feats))
         n_hold = int(len(feats) * holdout)
         hold, rest = order[:n_hold], order[n_hold:]
@@ -128,11 +139,11 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         ), pool_cfg
     syn = _section(pool_cfg, "synthetic", "task.pool")
     resolved = {
-        "samples": int(syn.get("samples", 4000)),
-        "classes": int(syn.get("classes", 10)),
-        "dim": int(syn.get("dim", 8)),
-        "spread": float(syn.get("spread", 0.6)),
-        "holdout_fraction": float(syn.get("holdout_fraction", 0.2)),
+        "samples": _scalar(syn, "samples", int, "task.pool.synthetic", 4000),
+        "classes": _scalar(syn, "classes", int, "task.pool.synthetic", 10),
+        "dim": _scalar(syn, "dim", int, "task.pool.synthetic", 8),
+        "spread": _scalar(syn, "spread", float, "task.pool.synthetic", 0.6),
+        "holdout_fraction": _scalar(syn, "holdout_fraction", float, "task.pool.synthetic", 0.2),
     }
     pool = tasks_mod.make_blob_pool(
         n_samples=resolved["samples"],
@@ -151,16 +162,16 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
     kind = _require(tcfg, "kind", "task")
     n_dev = topo.n_devices
     pool = None
-    resolved = {"kind": kind, "init_scale": float(tcfg.get("init_scale", 0.0))}
+    resolved = {"kind": kind, "init_scale": _scalar(tcfg, "init_scale", float, "task", 0.0)}
     if kind == "quadratic":
-        dim = int(tcfg.get("dimension", 4))
-        spd = int(tcfg.get("samples_per_device", 8))
+        dim = _scalar(tcfg, "dimension", int, "task", 4)
+        spd = _scalar(tcfg, "samples_per_device", int, "task", 8)
         resolved.update(
             dimension=dim,
             samples_per_device=spd,
-            center_spread=float(tcfg.get("center_spread", 1.0)),
-            sample_spread=float(tcfg.get("sample_spread", 0.1)),
-            batch_size=int(tcfg.get("batch_size", spd)),
+            center_spread=_scalar(tcfg, "center_spread", float, "task", 1.0),
+            sample_spread=_scalar(tcfg, "sample_spread", float, "task", 0.1),
+            batch_size=_scalar(tcfg, "batch_size", int, "task", spd),
         )
         task = tasks_mod.make_quadratic_task(
             n_dev,
@@ -173,7 +184,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
         )
     elif kind in ("logistic", "tiny_mlp"):
         pool, pool_resolved = _load_pool(_section(tcfg, "pool", "task"), seed)
-        case = int(tcfg.get("partition_case", 3))
+        case = _scalar(tcfg, "partition_case", int, "task", 3)
         size_range = _list(tcfg, "size_range", int, "task", default=[20, 40])
         if len(size_range) != 2:
             raise ConfigError(f"task key 'size_range' must be [lo, hi], got {size_range!r}")
@@ -189,7 +200,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
             )
         except tasks_mod.InsufficientPool as exc:
             raise ConfigError(f"task.pool too small: {exc}") from exc
-        batch = int(tcfg.get("batch_size", min(p.size for p in parts)))
+        batch = _scalar(tcfg, "batch_size", int, "task", min(p.size for p in parts))
         resolved["batch_size"] = batch
         if kind == "logistic":
             for p in parts:
@@ -198,7 +209,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
             task = tasks_mod.LogisticTask(parts, batch_size=batch)
         else:
             n_classes = int(np.max(pool.labels)) + 1
-            resolved["hidden"] = int(tcfg.get("hidden", 16))
+            resolved["hidden"] = _scalar(tcfg, "hidden", int, "task", 16)
             task = tasks_mod.TinyMLPTask(
                 parts,
                 batch_size=batch,
@@ -220,7 +231,10 @@ def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]
         raise ConfigError(f"quantizers must be a list of {n_layers} entries, got {qcfg!r}")
     if not all(isinstance(entry, dict) for entry in qcfg):
         raise ConfigError(f"quantizers entries must be mappings, got {qcfg!r}")
-    return [quant_mod.QuantizerSpec(e.get("kind", "identity"), int(e.get("levels", 1))) for e in qcfg]
+    return [
+        quant_mod.QuantizerSpec(e.get("kind", "identity"), _scalar(e, "levels", int, "quantizers", 1))
+        for e in qcfg
+    ]
 
 
 def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> latency_mod.LatencyParams:
@@ -230,25 +244,22 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
     if freqs is None:
         freqs = [0.5e9] * topo.n_devices
     elif isinstance(freqs, dict):
-        lo, hi = (float(_require(freqs, k, "latency.frequencies")) for k in ("min", "max"))
+        lo, hi = (_scalar(freqs, k, float, "latency.frequencies") for k in ("min", "max"))
         freqs = _stream(seed, _FREQ_STREAM, 0).uniform(lo, hi, size=topo.n_devices).tolist()
     else:
         freqs = _list(lcfg, "frequencies", float, "latency")
-    model_bits = lcfg.get("model_bits")
-    if model_bits is None:
-        model_bits = 32.0 * task.dim
     params = latency_mod.LatencyParams(
-        cycles_per_sample=float(lcfg.get("cycles_per_sample", 0.25e9)),
+        cycles_per_sample=_scalar(lcfg, "cycles_per_sample", float, "latency", 0.25e9),
         frequencies=freqs,
-        batch_size=int(lcfg.get("batch_size", task.batch_size)),
-        model_bits=float(model_bits),
-        bandwidth=float(lcfg.get("bandwidth", 1e6)),
-        tx_power=float(lcfg.get("tx_power", 0.5)),
-        channel_gain=float(lcfg.get("channel_gain", 1e-8)),
-        noise_power=float(lcfg.get("noise_power", 1e-10)),
-        kappa=float(lcfg.get("kappa", 1.0)),
-        path_loss_exp=float(lcfg.get("path_loss_exp", 3.4)),
-        deadline=float(lcfg.get("deadline", math.inf)),
+        batch_size=_scalar(lcfg, "batch_size", int, "latency", task.batch_size),
+        model_bits=_scalar(lcfg, "model_bits", float, "latency", 32.0 * task.dim),
+        bandwidth=_scalar(lcfg, "bandwidth", float, "latency", 1e6),
+        tx_power=_scalar(lcfg, "tx_power", float, "latency", 0.5),
+        channel_gain=_scalar(lcfg, "channel_gain", float, "latency", 1e-8),
+        noise_power=_scalar(lcfg, "noise_power", float, "latency", 1e-10),
+        kappa=_scalar(lcfg, "kappa", float, "latency", 1.0),
+        path_loss_exp=_scalar(lcfg, "path_loss_exp", float, "latency", 3.4),
+        deadline=_scalar(lcfg, "deadline", float, "latency", math.inf),
         rounds=rounds,
     )
     t_edge = lcfg.get("t_edge")
@@ -328,7 +339,7 @@ class _Setup:
 def _setup(cfg: dict, command: str = "run") -> _Setup:
     """Resolve the config for `command` (see the module docstring for what
     each command reads), reading each key once."""
-    seed = int(_require(cfg, "seed"))
+    seed = _scalar(cfg, "seed", int)
     topo = _build_topology(cfg)
     task, pool, task_resolved = _build_task(cfg, topo, seed)
     quantizers = _build_quantizers(cfg, topo.num_layers)
@@ -337,19 +348,16 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     if command == "measure-q":
         return s
     scfg = _section(cfg, "schedule")
-    s.alpha = float(cfg.get("alpha", 0.5))
-    s.lat = _build_latency(cfg, topo, task, seed, int(_require(scfg, "rounds", "schedule")))
+    s.alpha = _scalar(cfg, "alpha", float, default=0.5)
+    s.lat = _build_latency(cfg, topo, task, seed, _scalar(scfg, "rounds", int, "schedule"))
     if command == "optimize":
         return s
-    s.lr = float(_require(cfg, "lr"))
+    s.lr = _scalar(cfg, "lr", float)
     s.weighted = bool(cfg.get("weighted", False))
     s.theory = _section(cfg, "theory", required=False)
     for k in _THEORY_CONSTANTS:
         if s.theory.get(k) is not None:
-            try:
-                s.theory[k] = float(s.theory[k])
-            except (TypeError, ValueError):
-                raise ConfigError(f"theory key {k!r} must be a number, got {s.theory[k]!r}") from None
+            s.theory[k] = _scalar(s.theory, k, float, "theory")
     if scfg.get("optimize", False):
         s.optimizer = gp_optimizer.optimize(s.objective())
         taus = s.optimizer.taus_integer
@@ -423,8 +431,9 @@ def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     return _run(cfg, output_dir)[0]
 
 
-def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.RunMetrics]:
-    """run_experiment that also returns the run's in-memory metrics."""
+def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.RunMetrics, list[float]]:
+    """run_experiment that also returns the run's in-memory metrics and the
+    simulated time at the end of each round."""
     s = _setup(cfg)
     per_round = latency_mod.round_latency(s.lat, s.sched)
     metrics = engine.run(
@@ -436,20 +445,20 @@ def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.
         seed=s.seed,
         weighted=s.weighted,
         w0=s.w0,
-        round_latency=per_round,
     )
 
     accuracy = None
     if s.pool is not None and hasattr(s.task, "accuracy"):
         accuracy = s.task.accuracy(metrics.final_model, s.pool.holdout_features, s.pool.holdout_labels)
 
+    elapsed = list(itertools.accumulate([per_round] * metrics.rounds))
     summary = {
         "final_loss": metrics.final_loss,
         "final_grad_norm_sq": metrics.final_grad_norm_sq,
         "mean_grad_norm_sq": metrics.mean_grad_norm_sq(),
         "final_accuracy": accuracy,
         "round_latency": per_round,
-        "total_time": metrics.cumulative_time[-1],
+        "total_time": elapsed[-1],
         "theory": _theory_block(s),
         "optimizer": None if s.optimizer is None else _optimizer_block(s.optimizer),
         "config": s.echo(),
@@ -462,18 +471,12 @@ def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.
         writer.writerow(["round", "loss", "grad_norm_sq", "latency", "cumulative_time"])
         for t in range(metrics.rounds):
             writer.writerow(
-                [
-                    t,
-                    repr(metrics.loss[t]),
-                    repr(metrics.grad_norm_sq[t]),
-                    repr(metrics.round_latency[t]),
-                    repr(metrics.cumulative_time[t]),
-                ]
+                [t, repr(metrics.loss[t]), repr(metrics.grad_norm_sq[t]), repr(per_round), repr(elapsed[t])]
             )
     # serialize first: a non-finite value must not leave a truncated file behind
     text = json.dumps(_json_safe(summary), indent=2, allow_nan=False)
     (out / "summary.json").write_text(text + "\n", encoding="utf-8")
-    return summary, metrics
+    return summary, metrics, elapsed
 
 
 def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
@@ -487,10 +490,12 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     ccfg = _section(cfg, "compare", required=False)
     if depths is None:
         depths = _list(ccfg, "depths", int, "compare")
-    threshold = float(ccfg.get("threshold", 1e-4))
-    kappas = {int(k): float(v) for k, v in _section(ccfg, "kappas", "compare", required=False).items()}
+    threshold = _scalar(ccfg, "threshold", float, "compare", 1e-4)
+    kappa_cfg = _section(ccfg, "kappas", "compare", required=False)
     taus_cfg = _section(ccfg, "taus", "compare", required=False)
-    taus_map = {int(k): _list(taus_cfg, k, int, "compare.taus") for k in taus_cfg}
+    with _config_errors():  # int() of a key that is not a depth raises ValueError
+        kappas = {int(k): _scalar(kappa_cfg, k, float, "compare.kappas") for k in kappa_cfg}
+        taus_map = {int(k): _list(taus_cfg, k, int, "compare.taus") for k in taus_cfg}
 
     base = _build_topology(cfg)
     rows = []
@@ -520,13 +525,13 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             sub["quantizers"] = list(qcfg)[-depth:]  # keep the upper hops' settings
         sub["output_dir"] = str(out_dir / f"depth_{depth}")
 
-        summary, metrics = _run(sub)
+        summary, metrics, elapsed = _run(sub)
         hit = next((t for t, g in enumerate(metrics.grad_norm_sq) if g <= threshold), None)
         rows.append(
             {
                 "depth": depth,
                 "rounds_to_threshold": hit,
-                "time_to_threshold": None if hit is None else metrics.cumulative_time[hit],
+                "time_to_threshold": None if hit is None else elapsed[hit],
                 "round_latency": summary["round_latency"],
                 "final_loss": summary["final_loss"],
             }

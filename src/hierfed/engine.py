@@ -73,8 +73,6 @@ class RunMetrics:
 
     loss: list[float] = field(default_factory=list)
     grad_norm_sq: list[float] = field(default_factory=list)
-    round_latency: list[float] = field(default_factory=list)
-    cumulative_time: list[float] = field(default_factory=list)
     final_model: np.ndarray | None = None
     final_loss: float | None = None
     final_grad_norm_sq: float | None = None
@@ -127,13 +125,10 @@ def _evaluate(task: Task, w: np.ndarray, weighted: bool) -> tuple[float, float]:
         return float(loss_fn(w)), float(np.dot(g, g))
 
 
-def _record(metrics: RunMetrics, task: Task, w: np.ndarray, weighted: bool, latency: float) -> None:
+def _record(metrics: RunMetrics, task: Task, w: np.ndarray, weighted: bool) -> None:
     loss, grad_norm_sq = _evaluate(task, w, weighted)
     metrics.loss.append(loss)
     metrics.grad_norm_sq.append(grad_norm_sq)
-    metrics.round_latency.append(latency)
-    prev = metrics.cumulative_time[-1] if metrics.cumulative_time else 0.0
-    metrics.cumulative_time.append(prev + latency)
 
 
 def run(
@@ -146,7 +141,6 @@ def run(
     seed: int,
     weighted: bool = False,
     w0: np.ndarray | None = None,
-    round_latency: float = 0.0,
 ) -> RunMetrics:
     """Execute the full nested loop for schedule.global_rounds rounds.
 
@@ -178,7 +172,7 @@ def run(
 
     metrics = RunMetrics()
     for t in range(schedule.global_rounds):
-        _record(metrics, task, w, weighted, round_latency)
+        _record(metrics, task, w, weighted)
         # a finite model far out can still overflow its loss or gradient norm
         if not exact and not (np.isfinite(metrics.loss[-1]) and np.isfinite(metrics.grad_norm_sq[-1])):
             raise Diverged(f"round {t}: loss or gradient norm is not finite")
@@ -227,7 +221,6 @@ def run_fedavg_reference(
     seed: int,
     weighted: bool = False,
     w0: np.ndarray | None = None,
-    round_latency: float = 0.0,
 ) -> RunMetrics:
     """Flat federated averaging with the same seeding discipline as run().
 
@@ -252,7 +245,7 @@ def run_fedavg_reference(
 
     metrics = RunMetrics()
     for t in range(global_rounds):
-        _record(metrics, task, w, weighted, round_latency)
+        _record(metrics, task, w, weighted)
         update = _zeros(w.shape, exact)
         for i in range(n):
             rng = _stream(seed, _BATCH_STREAM, t, i)

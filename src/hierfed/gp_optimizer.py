@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Schedule
-from .latency import LatencyParams, compute_tcp, compute_tde, deadline_ok
+# compute_tcp and compute_tde stay module attributes for profilers that wrap them by name
+from .latency import LatencyParams, compute_tcp, compute_tde, deadline_ok, round_coefficients  # noqa: F401
 from .theory import error_bracket
 
 
@@ -129,38 +130,13 @@ def _prefix_growth(spec: ObjectiveSpec, upto: int) -> float:
     return math.prod(1.0 + spec.q[m] for m in range(upto))
 
 
-def _j_plus_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Posynomial J+ as (exponent matrix, log-coefficient vector)."""
-    n = spec.n_layers
-    exps, logc = [], []
-    if spec.speed_weight > 0.0:
-        exps.append([-1.0] * n)
-        logc.append(math.log(spec.speed_weight))
-    if spec.error_weight > 0.0:
-        e1 = [0.0] * n
-        e1[0] = 1.0
-        exps.append(e1)
-        logc.append(math.log(spec.error_weight))
-        for k in range(1, n):
-            coeff = spec.error_weight * spec.counts[k - 1] / spec.n_tot * _prefix_growth(spec, k)
-            e = [1.0 if m <= k else 0.0 for m in range(n)]
-            exps.append(e)
-            logc.append(math.log(coeff))
-    return np.array(exps), np.array(logc)
-
-
 def _u_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
     """Monomial terms u_k of J- (excluding the constant), k = 1..N-1."""
     n = spec.n_layers
-    exps, logc = [], []
-    for k in range(1, n):
-        coeff = spec.error_weight * spec.counts[k - 1] / spec.n_tot * _prefix_growth(spec, k)
-        e = [1.0 if m < k else 0.0 for m in range(n)]
-        exps.append(e)
-        logc.append(math.log(coeff) if coeff > 0 else -math.inf)
-    if not exps:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.array(exps), np.array(logc)
+    coeffs = [spec.error_weight * spec.counts[k - 1] / spec.n_tot * _prefix_growth(spec, k)
+              for k in range(1, n)]
+    exps = [[1.0] * k + [0.0] * (n - k) for k in range(1, n)]  # u_k = coeff * tau_1 ... tau_k
+    return np.array(exps).reshape(n - 1, n), np.array([math.log(c) if c > 0 else -math.inf for c in coeffs])
 
 
 def j_minus(spec: ObjectiveSpec, taus) -> float:
@@ -177,40 +153,45 @@ def j_minus(spec: ObjectiveSpec, taus) -> float:
     return total
 
 
-def j_plus(spec: ObjectiveSpec, taus) -> float:
-    exps, logc = _j_plus_terms(spec)
-    y = np.log(_check_taus(taus))
-    return float(np.sum(np.exp(exps @ y + logc)))
-
-
-def _g_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Deadline posynomial G = (T / T_d) * round latency, as (exps, log coeffs)."""
-    lat = spec.latency
+def _j_plus_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Posynomial J+ = alpha / prod(tau) + (1 - alpha) tau_1 + sum_k u_k tau_{k+1},
+    as (exponent matrix, log-coefficient vector)."""
     n = spec.n_layers
-    scale = lat.rounds / lat.deadline
-    t_cp, t_de = compute_tcp(lat), compute_tde(lat)
-    exps = [[1.0] * n]
-    logc = [math.log(scale * t_cp)]
-    if n == 1:
-        exps.append([0.0])
-        logc.append(math.log(scale * t_de))
-    else:
-        if len(lat.t_edge) != n - 1:
-            raise ValueError(f"need {n - 1} inter-edge times, got {len(lat.t_edge)}")
-        exps.append([0.0] + [1.0] * (n - 1))
-        logc.append(math.log(scale * t_de))
-        for layer in range(2, n):
-            exps.append([1.0 if m >= layer else 0.0 for m in range(n)])
-            logc.append(math.log(scale * lat.t_edge[layer - 2]))
-        exps.append([0.0] * n)
-        logc.append(math.log(scale * lat.t_edge[n - 2]))
+    exps, logc = [], []
+    if spec.speed_weight > 0.0:
+        exps.append([-1.0] * n)
+        logc.append(math.log(spec.speed_weight))
+    if spec.error_weight > 0.0:
+        u_exps, u_logc = _u_terms(spec)
+        # (1 - alpha) tau_1, then each u_k's exponents plus one on tau_{k+1}
+        exps += [[1.0] + [0.0] * (n - 1), *(u_exps + np.eye(n)[1:]).tolist()]
+        logc += [math.log(spec.error_weight), *u_logc]
     return np.array(exps), np.array(logc)
 
 
-def g_value(spec: ObjectiveSpec, taus) -> float:
-    exps, logc = _g_terms(spec)
+def _g_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Deadline posynomial G = (T / T_d) * round latency, as (exps, log coeffs):
+    term j is (T / T_d) c_j prod(tau[j:]) for the latency coefficients c_j."""
+    lat = spec.latency
+    n = spec.n_layers
+    scale = lat.rounds / lat.deadline
+    coeffs = round_coefficients(lat, n)
+    exps = [[0.0] * j + [1.0] * (n - j) for j in range(len(coeffs))]
+    return np.array(exps), np.array([math.log(scale * c) for c in coeffs])
+
+
+def _posynomial(terms: tuple[np.ndarray, np.ndarray], taus) -> float:
+    exps, logc = terms
     y = np.log(_check_taus(taus))
     return float(np.sum(np.exp(exps @ y + logc)))
+
+
+def j_plus(spec: ObjectiveSpec, taus) -> float:
+    return _posynomial(_j_plus_terms(spec), taus)
+
+
+def g_value(spec: ObjectiveSpec, taus) -> float:
+    return _posynomial(_g_terms(spec), taus)
 
 
 def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
@@ -512,8 +493,7 @@ def closed_form_computation_limited(
     layer. The selected slot gets T_d / (T * t_CP), everything else 1.
     """
     lat = spec.latency
-    t_cp = compute_tcp(lat)
-    comm = [compute_tde(lat), *lat.t_edge]
+    t_cp, *comm = round_coefficients(lat, spec.n_layers)
     if t_cp <= 0 or max(comm) > comm_tol * t_cp:
         raise RegimeViolation("communication times are not negligible vs t_CP")
     budget = lat.deadline / lat.rounds / t_cp

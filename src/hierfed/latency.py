@@ -100,23 +100,20 @@ def compute_tde(params: LatencyParams) -> float:
     return params.model_bits / rate
 
 
+def round_coefficients(params: LatencyParams, n_layers: int) -> list[float]:
+    """(t_CP, t_DE, t_E[1,2], ..., t_E[N-1,N]): term j of a round's latency
+    is coefficient j times prod(taus[j:]), so the last hop is crossed once."""
+    if len(params.t_edge) != n_layers - 1:
+        raise LengthMismatch(f"{len(params.t_edge)} inter-edge times for {n_layers} aggregation layers")
+    return [compute_tcp(params), compute_tde(params), *params.t_edge]
+
+
 def round_latency(params: LatencyParams, schedule: Schedule) -> float:
     """Latency of one global round for the given iteration counts."""
     taus = schedule.taus
-    n = len(taus)
-    if n >= 2 and len(params.t_edge) != n - 1:
-        raise LengthMismatch(
-            f"{len(params.t_edge)} inter-edge times for {n} aggregation layers"
-        )
-    t_cp = compute_tcp(params)
-    t_de = compute_tde(params)
-    if n == 1:
-        # single hop: devices compute tau_1 steps, then transmit to the cloud
-        return taus[0] * t_cp + t_de
-    total = math.prod(taus) * t_cp + math.prod(taus[1:]) * t_de
-    for layer in range(2, n):  # hops (1,2) .. (N-2,N-1), crossed by upper taus
-        total += math.prod(taus[layer:]) * params.t_edge[layer - 2]
-    total += params.t_edge[n - 2]
+    total = 0.0  # summed left to right, not with sum(), which compensates from Python 3.12 on
+    for j, c in enumerate(round_coefficients(params, len(taus))):
+        total += math.prod(taus[j:]) * c
     return total
 
 

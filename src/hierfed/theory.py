@@ -61,8 +61,9 @@ class TheoryParams:
             raise ValueError("sigma2, gap0 and q entries must be non-negative")
 
 
-def _node_terms(params: TheoryParams, layer: int) -> list[float]:
-    """Per-node recursive architecture terms at `layer` (1-indexed).
+def _layer_maxima(params: TheoryParams) -> list[float]:
+    """Layer-wide maxima of the per-node recursive architecture terms for
+    layers 1..N-1, in one pass up the tree.
 
     Layer-1 value for a node with subtree count c:
         c * q_2 * tau_1 * tau_2 + q_1 * (1 + q_2) * tau_1.
@@ -75,18 +76,16 @@ def _node_terms(params: TheoryParams, layer: int) -> list[float]:
         topo.subtree_count(1, i) * q[1] * taus[0] * taus[1] + q[0] * (1.0 + q[1]) * taus[0]
         for i in range(topo.layer_sizes[1])
     ]
-    for n in range(2, layer + 1):
+    maxima = [max(values)]
+    for n in range(2, topo.num_layers):
         tau_prod = math.prod(taus[: n + 1])
-        new_values = []
-        for node in range(topo.layer_sizes[n]):
-            kids = topo.children_of(n, node)
-            worst_child = max(topo.subtree_count(n - 1, c) * values[c] for c in kids)
-            new_values.append(
-                topo.subtree_count(n, node) * q[n] * tau_prod
-                + (1.0 + q[n]) * worst_child
-            )
-        values = new_values
-    return values
+        values = [
+            topo.subtree_count(n, node) * q[n] * tau_prod
+            + (1.0 + q[n]) * max(topo.subtree_count(n - 1, c) * values[c] for c in topo.children_of(n, node))
+            for node in range(topo.layer_sizes[n])
+        ]
+        maxima.append(max(values))
+    return maxima
 
 
 def recursion_A(params: TheoryParams, layer: int) -> float:
@@ -96,7 +95,7 @@ def recursion_A(params: TheoryParams, layer: int) -> float:
         raise NeedsTwoLayers("the recursive term needs at least two layers")
     if not 1 <= layer <= n_layers - 1:
         raise LayerOutOfRange(f"layer must be in 1..{n_layers - 1}, got {layer}")
-    return max(_node_terms(params, layer))
+    return _layer_maxima(params)[layer - 1]
 
 
 def _condition_sums(params: TheoryParams) -> tuple[float, float]:
@@ -113,13 +112,10 @@ def _condition_sums(params: TheoryParams) -> tuple[float, float]:
         tau_n = taus[idx]
         sq_terms.append(tau_n * (tau_n - 1) / 2.0 * math.prod(taus[:idx]) ** 2)
     sq_terms.append(params.q[0] * taus[1] * taus[0] ** 2)
-    for idx in range(1, n - 1):  # architecture terms for layers 1..N-2
-        sq_terms.append(math.prod(taus[: idx + 2]) * recursion_A(params, idx))
-
-    lin_terms = [
-        math.prod(taus),
-        recursion_A(params, n - 1) / params.topology.n_devices,
-    ]
+    arch = _layer_maxima(params)  # arch[k - 1] = recursion_A(params, k)
+    # architecture terms for layers 1..N-2
+    sq_terms += [math.prod(taus[: idx + 2]) * arch[idx - 1] for idx in range(1, n - 1)]
+    lin_terms = [math.prod(taus), arch[-1] / params.topology.n_devices]
     return math.fsum(sorted(sq_terms)), math.fsum(sorted(lin_terms))
 
 
@@ -236,11 +232,14 @@ def max_feasible_mu(params: TheoryParams) -> float:
 
     The condition value 1 - L^2 mu^2 S - L mu B is a downward parabola in mu
     with value 1 at mu = 0 and B >= prod(taus) >= 1, so its positive root
-    2 / (L (B + sqrt(B^2 + 4 S))) always exists; the loop steps down past the
-    round-off of evaluating the condition there.
+    2 / (L (B + sqrt(B^2 + 4 S))) always exists; from there the loops step,
+    float by float, to the mu whose condition value is >= 0 and whose next
+    float's is < 0.
     """
     sq, lin = _condition_sums(params)
     mu = 2.0 / (params.lipschitz * (lin + math.sqrt(lin * lin + 4.0 * sq)))
     while condition_lhs(replace(params, mu=mu)) < 0.0:
         mu = math.nextafter(mu, 0.0)
+    while condition_lhs(replace(params, mu=math.nextafter(mu, math.inf))) >= 0.0:
+        mu = math.nextafter(mu, math.inf)
     return mu

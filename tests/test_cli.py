@@ -52,6 +52,28 @@ class TestRunExperiment:
         times = [float(l.split(",")[4]) for l in lines[1:]]
         assert all(b > a for a, b in zip(times, times[1:]))
 
+    def test_cumulative_time_is_running_latency_sum(self, tmp_path):
+        summary = run_experiment(quad_config(tmp_path))
+        with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        latency = [float(r["latency"]) for r in rows]
+        assert latency == [summary["round_latency"]] * 8
+        running = 0.0
+        for t, row in enumerate(rows):
+            running += latency[t]
+            assert float(row["cumulative_time"]) == running  # bit for bit: repr round-trips
+        assert running == pytest.approx(8 * summary["round_latency"], rel=1e-15)
+        assert summary["total_time"] == float(rows[-1]["cumulative_time"])
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["total_time"] == summary["total_time"]
+
+    def test_number_strings_accepted(self, tmp_path):
+        # YAML 1.1 reads 5e-2 and 1e9 (no dot) as strings; float() takes them
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(quad_config(tmp_path, lr="5e-2", latency={"deadline": "1e9"})))
+        summary = run_experiment(load_config(path))
+        assert summary["config"]["lr"] == 0.05
+        assert summary["config"]["latency"]["deadline"] == 1e9
+
     def test_seed_replay_byte_identical(self, tmp_path):
         cfg = quad_config(tmp_path, output_dir=str(tmp_path / "a"))
         run_experiment(cfg)
@@ -421,6 +443,14 @@ class TestMainEntry:
                 "'size_range'",
             ),
             ("theory", {"theory": {"sigma2": [1]}}, "'sigma2'"),
+            # scalar keys given a list
+            ("run", {"lr": [0.1]}, "'lr'"),
+            ("run", {"seed": [1]}, "'seed'"),
+            ("run", {"task": {"kind": "quadratic", "dimension": [4]}}, "'dimension'"),
+            ("run", {"schedule": {"taus": [2, 1, 1], "rounds": [3]}}, "'rounds'"),
+            ("compare-depths", {"compare": {"depths": [3], "kappas": {3: [1]}}}, "compare.kappas key 3"),
+            ("compare-depths", {"compare": {"depths": [3], "kappas": {"a": 1.0}}}, "'a'"),
+            ("compare-depths", {"compare": {"depths": [3], "taus": {"x": [2, 1, 1]}}}, "'x'"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -428,6 +458,8 @@ class TestMainEntry:
             "topology_shape", "compare_kappas_shape",
             "taus_scalar", "fanouts_scalar", "frequencies_scalar", "size_range_scalar",
             "size_range_length", "theory_constant_list",
+            "lr_list", "seed_list", "dimension_list", "rounds_list", "kappa_list",
+            "kappa_depth_key", "taus_depth_key",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):

@@ -90,11 +90,9 @@ class TestRunBasics:
 
     def test_metrics_lengths(self):
         task = point_task([[1.0]] * 4)
-        m = run(task, FOUR_DEV, Schedule((1, 1), 7), [identity()] * 2, 0.1, seed=2,
-                round_latency=2.5)
+        m = run(task, FOUR_DEV, Schedule((1, 1), 7), [identity()] * 2, 0.1, seed=2)
         assert m.rounds == 7
-        assert len(m.grad_norm_sq) == len(m.cumulative_time) == 7
-        assert m.cumulative_time == pytest.approx([2.5 * (t + 1) for t in range(7)])
+        assert len(m.grad_norm_sq) == len(m.loss) == 7
 
     def test_quantizer_count_mismatch(self):
         task = point_task([[1.0]] * 4)
@@ -410,6 +408,5 @@ class TestDescent:
 
 class TestRunMetrics:
     def test_mean_grad_norm(self):
-        m = RunMetrics(loss=[1, 2], grad_norm_sq=[4.0, 2.0], round_latency=[1, 1],
-                       cumulative_time=[1, 2])
+        m = RunMetrics(loss=[1, 2], grad_norm_sq=[4.0, 2.0])
         assert m.mean_grad_norm_sq() == 3.0

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierfed.engine import Schedule
+from hierfed.gp_optimizer import ObjectiveSpec, g_value
 from hierfed.latency import (
     LatencyParams,
     LengthMismatch,
@@ -134,6 +136,40 @@ class TestRoundLatency:
         p = make_params(t_edge=[1.0])
         with pytest.raises(LengthMismatch):
             round_latency(p, Schedule((1, 1, 1), 1))
+
+
+@st.composite
+def schedules(draw):
+    """A depth N in 1..6, taus in 1..16 and positive inter-edge times."""
+    n = draw(st.integers(1, 6))
+    taus = tuple(draw(st.lists(st.integers(1, 16), min_size=n, max_size=n)))
+    t_edge = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    return taus, t_edge
+
+
+class TestRoundLatencyProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(schedules(), st.floats(1.0, 1e4), st.integers(1, 50))
+    def test_equals_naive_expansion_and_deadline_posynomial(self, case, deadline, rounds):
+        taus, t_edge = case
+        n = len(taus)
+        p = make_params(t_edge=t_edge, deadline=deadline, rounds=rounds)
+        got = round_latency(p, Schedule(taus, 1))
+        assert got == naive_round_latency(p, taus)
+        spec = ObjectiveSpec(alpha=0.5, counts=(1,) * (n - 1), n_tot=1, q=(0.0,) * n, latency=p)
+        assert g_value(spec, taus) * deadline / rounds == pytest.approx(got, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_length_mismatch_for_every_depth(self, n):
+        for length in range(8):
+            if length == n - 1:
+                continue
+            p = make_params(t_edge=[1.0] * length)
+            with pytest.raises(LengthMismatch):
+                round_latency(p, Schedule((2,) * n, 1))
+            spec = ObjectiveSpec(alpha=0.5, counts=(1,) * (n - 1), n_tot=1, q=(0.0,) * n, latency=p)
+            with pytest.raises(LengthMismatch):
+                g_value(spec, (2,) * n)
 
 
 class TestDeadline:

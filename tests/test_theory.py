@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierfed.engine import Schedule
 from hierfed.theory import (
@@ -226,6 +227,20 @@ class TestMaxFeasibleMu:
         val = condition_lhs(replace(p, mu=mu_star))
         scale = 1.0 + 1.5 * mu_star * math.prod(p.schedule.taus)
         assert 0.0 <= val <= 1e-9 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(1, 16), st.sampled_from([0.0, 0.05, 0.3, 2.0])), min_size=1, max_size=4),
+        st.floats(0.1, 10.0),
+    )
+    def test_largest_float_with_nonnegative_condition(self, tree_seed, layers, lipschitz):
+        taus, q = zip(*layers)
+        topo = random_tree(np.random.default_rng(tree_seed), len(layers))
+        p = params(topo, taus, q, lipschitz=lipschitz)
+        mu = max_feasible_mu(p)
+        assert condition_lhs(replace(p, mu=mu)) >= 0.0
+        assert condition_lhs(replace(p, mu=math.nextafter(mu, math.inf))) < 0.0
 
     def test_monotone_in_each_tau(self):
         # raising any single iteration count weakly shrinks the feasible rate

@@ -1,5 +1,5 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierfed.topology import (
     EmptyServer,
@@ -23,21 +23,6 @@ def fig1():
 
 def baseline_6layer():
     return build_topology([96, 32, 16, 8, 4, 2, 1], fanouts=[3, 2, 2, 2, 2, 2])
-
-
-def random_tree(rng, max_devices=20, max_layers=4):
-    n_layers = int(rng.integers(1, max_layers + 1))
-    sizes = [1]
-    for _ in range(n_layers):
-        sizes.append(int(rng.integers(sizes[-1], max(sizes[-1] + 1, min(sizes[-1] * 3, max_devices)) + 1)))
-    sizes = sizes[::-1]
-    parents = []
-    for n in range(n_layers):
-        # every upper node gets one child first, the rest land randomly
-        p = list(range(sizes[n + 1])) + [int(rng.integers(0, sizes[n + 1])) for _ in range(sizes[n] - sizes[n + 1])]
-        rng.shuffle(p)
-        parents.append(p)
-    return build_topology(sizes, parents=parents)
 
 
 class TestBuild:
@@ -122,20 +107,36 @@ class TestReduceDepth:
             reduce_depth(fig1(), 1)
 
 
+@st.composite
+def ragged_trees(draw):
+    """layer_sizes and parents of a depth 1-4 tree: every upper node gets one
+    child, up to four more land anywhere, and each layer is shuffled."""
+    sizes, parents = [1], []
+    for _ in range(draw(st.integers(1, 4))):
+        up = sizes[0]
+        extra = draw(st.lists(st.integers(0, up - 1), max_size=4))
+        parents.insert(0, draw(st.permutations(list(range(up)) + extra)))
+        sizes.insert(0, len(parents[0]))
+    return sizes, parents
+
+
 class TestCountsAndInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_trees())
+    def test_conservation_randomized(self, tree):
+        sizes, parents = tree
+        t = build_topology(sizes, parents=parents)
+        assert t.subtree_devices[0] == (1,) * t.n_devices
+        for layer in range(1, t.num_layers + 1):
+            for node in range(t.layer_sizes[layer]):
+                kids = t.children_of(layer, node)
+                assert t.subtree_count(layer, node) == sum(t.subtree_count(layer - 1, c) for c in kids)
+                assert all(t.parents[layer - 1][c] == node for c in kids)
+            # each lower node is the child of exactly one node: its parent
+            assert sorted(c for kids in t.children[layer - 1] for c in kids) == list(range(sizes[layer - 1]))
+            assert sum(t.subtree_devices[layer]) == t.n_devices
+
     def test_layer_counts_examples(self):
         assert layer_counts(fig1()) == (4, 2, 11)
         assert layer_counts(build_topology([1, 1], parents=[[0]])) == (1,)
         assert layer_counts(baseline_6layer()) == (32, 16, 8, 4, 2, 96)
-
-    def test_conservation_randomized(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(50):
-            t = random_tree(rng)
-            for layer in range(1, t.num_layers + 1):
-                for node in range(t.layer_sizes[layer]):
-                    kids = t.children_of(layer, node)
-                    assert t.subtree_count(layer, node) == sum(
-                        t.subtree_count(layer - 1, c) for c in kids
-                    )
-                assert sum(t.subtree_devices[layer]) == t.n_devices
