@@ -5,7 +5,7 @@ from .engine import RunMetrics, Schedule, run, run_fedavg_reference
 from .latency import LatencyParams, compute_tcp, compute_tde, deadline_ok, round_latency
 from .quantizer import QuantizerSpec, measure_q, quantize
 from .theory import TheoryParams, condition_lhs, max_feasible_mu, rate_bound, recursion_A
-from .topology import Topology, build_topology, layer_counts, reduce_depth
+from .topology import Topology, build_topology, reduce_depth
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "recursion_A",
     "Topology",
     "build_topology",
-    "layer_counts",
     "reduce_depth",
     "__version__",
 ]

@@ -498,6 +498,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
         taus_map = {int(k): _list(taus_cfg, k, int, "compare.taus") for k in taus_cfg}
 
     base = _build_topology(cfg)
+    _build_quantizers(cfg, base.num_layers)  # the base tree's list, checked before it is sliced
     rows = []
     out_dir = Path(cfg.get("output_dir", "."))
     for depth in depths:
@@ -511,10 +512,11 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             "fanouts": list(topo.fanouts),
         }
         sub_sched = _section(cfg, "schedule", required=False)
+        optimized = sub_sched.get("optimize", False)  # then _setup optimizes this depth's taus
         if depth in taus_map:
             sub_sched["taus"] = taus_map[depth]
             sub_sched.pop("optimize", None)
-        elif len(_list(sub_sched, "taus", int, "schedule", default=[])) != depth:
+        elif not optimized and len(_list(sub_sched, "taus", int, "schedule", default=[])) != depth:
             raise ConfigError(f"no schedule of length {depth} for depth {depth}")
         sub["schedule"] = sub_sched
         sub_lat = _section(cfg, "latency", required=False)

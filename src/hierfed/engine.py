@@ -116,12 +116,7 @@ def _evaluate(task: Task, w: np.ndarray, weighted: bool) -> tuple[float, float]:
     """Global loss and squared global-gradient norm at w; overflow gives inf or NaN silently."""
     loss_fn = flat_global_loss(task, weighted=weighted)
     with np.errstate(over="ignore", invalid="ignore"):
-        if weighted:
-            sizes = task.dataset_sizes()
-            total = sum(sizes)
-            g = task.global_gradient(w, weights=[s / total for s in sizes])
-        else:
-            g = task.global_gradient(w)
+        g = task.global_gradient(w, weighted)
         return float(loss_fn(w)), float(np.dot(g, g))
 
 

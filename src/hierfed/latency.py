@@ -123,28 +123,3 @@ def deadline_ok(params: LatencyParams, schedule: Schedule) -> tuple[bool, float]
     slack = budget - round_latency(params, schedule)
     return slack >= 0.0, slack
 
-
-def table_defaults(
-    n_devices: int = 1,
-    model_bits: float | None = None,
-    n_layers: int = 2,
-) -> LatencyParams:
-    """Run-time parameters used throughout the experiments.
-
-    1 MHz bandwidth, 0.5 W transmit power, 1e-10 W noise, 0.25e9 cycles per
-    sample, reference gain 1e-8, batch 40, and inter-edge times of
-    (10, 20, 30, 40, 50) x t_DE counted from the lowest hop.
-    """
-    base = LatencyParams(
-        cycles_per_sample=0.25e9,
-        frequencies=[0.5e9] * n_devices,
-        batch_size=40,
-        model_bits=model_bits if model_bits is not None else 5.6724e6,
-        bandwidth=1e6,
-        tx_power=0.5,
-        channel_gain=1e-8,
-        noise_power=1e-10,
-    )
-    t_de = compute_tde(base)
-    base.t_edge = [10.0 * t_de * (k + 1) for k in range(max(0, n_layers - 1))]
-    return base

@@ -56,13 +56,21 @@ def _sample_batch(size: int, batch: int, rng: np.random.Generator) -> np.ndarray
 
 
 class Task:
-    """Common surface: per-device losses and (stochastic) gradients."""
+    """Common surface: per-device losses and (stochastic) gradients.
+
+    A task supplies `local_loss` and `batch_gradient`; the full, stochastic
+    and global gradients are derived from `batch_gradient` here.
+    """
 
     kind: str
-    dim: int
-    batch_size: int
-    datasets: list[LocalDataset]
     theory_source = "certified"  # how theory_constants are known: "exact" or "certified"
+
+    def __init__(self, datasets: list[LocalDataset], batch_size: int):
+        self.datasets = datasets
+        self.batch_size = int(batch_size)
+        if any(ds.size < self.batch_size for ds in datasets):
+            raise BatchTooLarge("batch size exceeds a device dataset")
+        self.dim = int(np.shape(datasets[0].features)[1])  # one weight per feature
 
     @property
     def n_devices(self) -> int:
@@ -74,6 +82,10 @@ class Task:
     def local_loss(self, device: int, w: np.ndarray) -> float:
         raise NotImplementedError
 
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
+        """Mean-loss gradient over the rows `idx`: an index array or slice(None)."""
+        raise NotImplementedError
+
     def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
         """The TheoryParams constants (lipschitz, sigma2, gap0) this task can
         bound for the objective trained from w0, device-averaged or, when
@@ -81,34 +93,23 @@ class Task:
         return {}
 
     def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.batch_gradient(device, w, slice(None))
 
-    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def stochastic_gradient(
-        self,
-        device: int,
-        w: np.ndarray,
-        rng: np.random.Generator,
-        batch_size: int | None = None,
-    ) -> np.ndarray:
+    def stochastic_gradient(self, device: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Gradient of the mean loss over a fresh uniform mini-batch."""
-        b = self.batch_size if batch_size is None else batch_size
-        idx = _sample_batch(self.datasets[device].size, b, rng)
+        idx = _sample_batch(self.datasets[device].size, self.batch_size, rng)
         return self.batch_gradient(device, w, idx)
 
-    def global_gradient(self, w: np.ndarray, weights: list | None = None) -> np.ndarray:
-        """Full-batch gradient of the global objective (device average)."""
-        if weights is None:
-            total = self.full_gradient(0, w)
-            for i in range(1, self.n_devices):
-                total = total + self.full_gradient(i, w)
-            return total / self.n_devices
-        total = weights[0] * self.full_gradient(0, w)
+    def global_gradient(self, w: np.ndarray, weighted: bool = False) -> np.ndarray:
+        """Full-batch gradient of the global objective: the device average or,
+        when `weighted`, the dataset-size-weighted average."""
+        sizes = self.dataset_sizes()
+        mass = sum(sizes)
+        coeffs = [s / mass for s in sizes] if weighted else [1] * len(sizes)
+        total = coeffs[0] * self.full_gradient(0, w)
         for i in range(1, self.n_devices):
-            total = total + weights[i] * self.full_gradient(i, w)
-        return total
+            total = total + coeffs[i] * self.full_gradient(i, w)
+        return total if weighted else total / self.n_devices
 
 
 class QuadraticTask(Task):
@@ -116,14 +117,6 @@ class QuadraticTask(Task):
 
     kind = "quadratic"
     theory_source = "exact"
-
-    def __init__(self, datasets: list[LocalDataset], batch_size: int):
-        self.datasets = datasets
-        self.batch_size = int(batch_size)
-        self.dim = int(np.shape(datasets[0].features)[1])
-        for ds in datasets:
-            if ds.size < self.batch_size:
-                raise BatchTooLarge("batch size exceeds a device dataset")
 
     def device_mean(self, device: int):
         feats = self.datasets[device].features
@@ -134,10 +127,7 @@ class QuadraticTask(Task):
         diff = feats - w[None, :]
         return (diff * diff).sum() / len(feats) / 2
 
-    def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
-        return w - self.device_mean(device)
-
-    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
         batch = self.datasets[device].features[idx]
         return w - batch.sum(axis=0) / len(batch)
 
@@ -206,32 +196,19 @@ class LogisticTask(Task):
 
     kind = "logistic"
 
-    def __init__(self, datasets: list[LocalDataset], batch_size: int):
-        self.datasets = datasets
-        self.batch_size = int(batch_size)
-        self.dim = datasets[0].features.shape[1]
-        if any(ds.size < self.batch_size for ds in datasets):
-            raise BatchTooLarge("batch size exceeds a device dataset")
-
-    def _margins(self, device: int, w: np.ndarray, idx: np.ndarray | None = None):
+    def _margins(self, device: int, w: np.ndarray, idx: np.ndarray | slice = slice(None)):
         ds = self.datasets[device]
-        x, y = ds.features, ds.labels
-        if idx is not None:
-            x, y = x[idx], y[idx]
+        x, y = ds.features[idx], ds.labels[idx]
         return x, y, y * (x @ w)
 
     def local_loss(self, device: int, w: np.ndarray) -> float:
         _, _, m = self._margins(device, w)
         return float(np.mean(np.logaddexp(0.0, -m)))
 
-    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-        """Mean-loss gradient over the rows idx, or over all rows when None."""
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
         x, y, m = self._margins(device, w, idx)
         coeff = -y / (1.0 + np.exp(m))
         return (coeff[:, None] * x).mean(axis=0)
-
-    def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
-        return self.batch_gradient(device, w, None)
 
     def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
         """Certified bounds from R^2 = max ||x||^2 over all devices (Bottou,
@@ -266,11 +243,8 @@ class TinyMLPTask(Task):
     ):
         if hidden > 32:
             raise ValueError("tiny MLP is capped at 32 hidden units")
-        self.datasets = datasets
-        self.batch_size = int(batch_size)
-        if any(ds.size < self.batch_size for ds in datasets):
-            raise BatchTooLarge("batch size exceeds a device dataset")
-        self.n_in = datasets[0].features.shape[1]
+        super().__init__(datasets, batch_size)
+        self.n_in = self.dim  # the base counts features; the MLP has more weights
         self.hidden = hidden
         self.n_classes = n_classes
         self.dim = hidden * self.n_in + hidden + n_classes * hidden + n_classes
@@ -315,13 +289,9 @@ class TinyMLPTask(Task):
         _, probs = self._forward(ds.features, *self._unpack(w))
         return -float(np.mean(np.log(probs[np.arange(ds.size), ds.labels] + 1e-300)))
 
-    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
         ds = self.datasets[device]
         return self._gradient(w, ds.features[idx], ds.labels[idx])
-
-    def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
-        ds = self.datasets[device]
-        return self._gradient(w, ds.features, ds.labels)
 
     def accuracy(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
         _, probs = self._forward(features, *self._unpack(w))

@@ -25,10 +25,6 @@ class EmptyServer(TopologyError):
     """An internal node has zero children."""
 
 
-class LayerSkip(TopologyError):
-    """A parent edge does not connect adjacent layers."""
-
-
 class TooDeep(TopologyError):
     """Depth reduction asked to remove more edge layers than exist."""
 
@@ -74,15 +70,6 @@ class Topology:
         """Number of devices in the subtree rooted at (layer, index)."""
         return self.subtree_devices[layer][index]
 
-    def device_indices(self, layer: int, index: int) -> list[int]:
-        """All layer-0 descendants of (layer, index), ascending."""
-        if layer == 0:
-            return [index]
-        out: list[int] = []
-        for c in self.children_of(layer, index):
-            out.extend(self.device_indices(layer - 1, c))
-        return sorted(out)
-
 
 def build_topology(
     layer_sizes: list[int] | tuple[int, ...],
@@ -96,7 +83,7 @@ def build_topology(
     uniform number of layer-n children per layer-(n+1) node; children are
     assigned in contiguous index blocks.
 
-    Raises OrphanNode, EmptyServer, or LayerSkip on malformed input.
+    Raises OrphanNode, EmptyServer, or TopologyError on malformed input.
     """
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
@@ -168,30 +155,6 @@ def build_topology(
     )
 
 
-def build_topology_from_edges(
-    layer_sizes: list[int] | tuple[int, ...],
-    edges: dict[tuple[int, int], tuple[int, int]],
-) -> Topology:
-    """Build from explicit (layer, index) -> (layer, index) parent edges.
-
-    Unlike build_topology's positional form this can express (and therefore
-    reject) layer-skipping edges.
-    """
-    sizes = tuple(int(s) for s in layer_sizes)
-    parents: list[list[int | None]] = [[None] * sizes[n] for n in range(len(sizes) - 1)]
-    for (n, i), (pn, pi) in edges.items():
-        if pn != n + 1:
-            raise LayerSkip(f"edge ({n},{i}) -> ({pn},{pi}) skips layers")
-        if not (0 <= n < len(sizes) - 1 and 0 <= i < sizes[n]):
-            raise TopologyError(f"edge source ({n},{i}) outside the tree")
-        parents[n][i] = pi
-    for n, layer_parents in enumerate(parents):
-        for i, p in enumerate(layer_parents):
-            if p is None:
-                raise OrphanNode(f"node {i} at layer {n} has no parent edge")
-    return build_topology(sizes, parents=[[int(p) for p in lp] for lp in parents])  # type: ignore[union-attr]
-
-
 def reduce_depth(t: Topology, removed_lower_layers: int) -> Topology:
     """Drop the lowest k edge layers, reattaching devices to the survivors.
 
@@ -212,7 +175,3 @@ def reduce_depth(t: Topology, removed_lower_layers: int) -> Topology:
     new_sizes = (t.layer_sizes[0],) + t.layer_sizes[k + 1 :]
     return build_topology(new_sizes, fanouts=new_fanouts)
 
-
-def layer_counts(t: Topology) -> tuple[int, ...]:
-    """Edge-server counts (C_1, ..., C_{N-1}) followed by the device total."""
-    return tuple(t.layer_sizes[1:-1]) + (t.n_devices,)

@@ -451,6 +451,8 @@ class TestMainEntry:
             ("compare-depths", {"compare": {"depths": [3], "kappas": {3: [1]}}}, "compare.kappas key 3"),
             ("compare-depths", {"compare": {"depths": [3], "kappas": {"a": 1.0}}}, "'a'"),
             ("compare-depths", {"compare": {"depths": [3], "taus": {"x": [2, 1, 1]}}}, "'x'"),
+            # checked against the base tree, as run checks it, before each depth takes its hops
+            ("compare-depths", {"quantizers": [{"kind": "identity"}] * 5, "compare": {"depths": [3]}}, "3 entries"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -459,7 +461,7 @@ class TestMainEntry:
             "taus_scalar", "fanouts_scalar", "frequencies_scalar", "size_range_scalar",
             "size_range_length", "theory_constant_list",
             "lr_list", "seed_list", "dimension_list", "rounds_list", "kappa_list",
-            "kappa_depth_key", "taus_depth_key",
+            "kappa_depth_key", "taus_depth_key", "compare_quantizers_length",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -619,6 +621,17 @@ class TestMainEntry:
         assert main(["compare-depths", self.write(tmp_path, cfg)]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["depth"] == 3
+
+    def test_compare_depths_optimizes_each_depth(self, tmp_path, capsys):
+        # as in run, schedule.optimize needs no taus: each depth's _setup optimizes its own
+        cfg = quad_config(tmp_path, schedule={"optimize": True, "rounds": 3}, compare={"depths": [3, 2]})
+        path = self.write(tmp_path, cfg)
+        assert main(["run", path]) == 0
+        assert main(["compare-depths", path]) == 0
+        for depth in (3, 2):
+            summary = json.loads((tmp_path / "out" / f"depth_{depth}" / "summary.json").read_text())
+            assert summary["optimizer"] is not None
+            assert len(summary["config"]["schedule"]["taus"]) == depth
 
 
 class TestLoadConfig:

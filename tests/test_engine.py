@@ -143,9 +143,9 @@ class CountingTask(QuadraticTask):
         super().__init__(*args, **kwargs)
         self.calls = []
 
-    def stochastic_gradient(self, device, w, rng, batch_size=None):
+    def stochastic_gradient(self, device, w, rng):
         self.calls.append((device, rng, rng.bit_generator.state))
-        return super().stochastic_gradient(device, w, rng, batch_size)
+        return super().stochastic_gradient(device, w, rng)
 
 
 class TestDeviceStepContract:
@@ -326,7 +326,7 @@ class TestRoundMapOracle:
         sizes = [int(rng.integers(2, 5)) for _ in range(topo.n_devices)]
 
         class FullBatch(QuadraticTask):
-            def stochastic_gradient(self, device, w, rng, batch_size=None):
+            def stochastic_gradient(self, device, w, rng):
                 return self.full_gradient(device, w)
 
         fb = FullBatch(
@@ -346,7 +346,7 @@ class TestRoundMapOracle:
         sizes = [int(rng.integers(1, 6)) for _ in range(topo.n_devices)]
 
         class FullBatch(QuadraticTask):
-            def stochastic_gradient(self, device, w, rng, batch_size=None):
+            def stochastic_gradient(self, device, w, rng):
                 return self.full_gradient(device, w)
 
         fb = FullBatch(
@@ -370,7 +370,7 @@ class TestQuantizedUnbiasedness:
         topo = build_topology([4, 2, 1], parents=[[0, 0, 1, 1], [0, 0]])
 
         class FullBatch(QuadraticTask):
-            def stochastic_gradient(self, device, w, rng, batch_size=None):
+            def stochastic_gradient(self, device, w, rng):
                 return self.full_gradient(device, w)
 
         task = FullBatch(

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hierfed.cli import _setup
 from hierfed.engine import Schedule
 from hierfed.gp_optimizer import ObjectiveSpec, g_value
 from hierfed.latency import (
@@ -12,7 +13,6 @@ from hierfed.latency import (
     compute_tde,
     deadline_ok,
     round_latency,
-    table_defaults,
 )
 
 
@@ -191,9 +191,14 @@ class TestDeadline:
 
 class TestDefaults:
     def test_table_defaults_shape(self):
-        p = table_defaults(n_devices=4, n_layers=6)
+        """The table the CLI resolves for a 6-layer config with no latency section."""
+        cfg = {
+            "seed": 0,
+            "topology": {"layer_sizes": [4, 2, 1, 1, 1, 1, 1], "fanouts": [2, 2, 1, 1, 1, 1]},
+            "task": {"kind": "quadratic", "samples_per_device": 40},
+            "schedule": {"rounds": 1},
+        }
+        p = _setup(cfg, "optimize").lat
         assert compute_tcp(p) == 20.0
-        assert len(p.t_edge) == 5
         t_de = compute_tde(p)
-        assert p.t_edge[0] == pytest.approx(10 * t_de)
-        assert p.t_edge[4] == pytest.approx(50 * t_de)
+        assert p.t_edge == [10.0 * (k + 1) * t_de for k in range(5)]

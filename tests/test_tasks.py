@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,9 +118,10 @@ class TestQuadratic:
         assert np.all(g1 == g2)
 
     def test_batch_too_large(self):
-        task = point_task([[1.0]])
         with pytest.raises(BatchTooLarge):
-            task.stochastic_gradient(0, np.zeros(1), np.random.default_rng(0), batch_size=2)
+            point_task([[1.0]], batch_size=2)
+        with pytest.raises(BatchTooLarge):
+            _sample_batch(1, 2, np.random.default_rng(0))
 
     def test_optimum_is_stationary(self):
         task = make_quadratic_task(5, 3, np.random.default_rng(5))
@@ -207,8 +209,7 @@ class TestLogisticTheoryConstants:
             hess = np.einsum("n,ni,nj->ij", p * (1.0 - p), ds.features, ds.features) / ds.size
             assert np.linalg.eigvalsh(hess)[-1] <= consts["lipschitz"] * (1.0 + 1e-12)
         # sigma2 bounds the squared deviation of any batch gradient at w
-        sizes = task.dataset_sizes()
-        g = task.global_gradient(w, [s / sum(sizes) for s in sizes] if weighted else None)
+        g = task.global_gradient(w, weighted)
         rng = np.random.default_rng(seed)
         for i, ds in enumerate(task.datasets):
             for _ in range(4):
@@ -339,16 +340,54 @@ class TestTinyMLPSplit:
         assert np.array_equal(runs[0].final_model, runs[1].final_model)
 
 
-class TestLogisticFullGradient:
+def derived_case(kind, seed):
+    """A seeded 3-device task of `kind` with ragged dataset sizes, and a point w;
+    "quadratic_exact" holds the quadratic's features and w as Fractions."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 12, size=3)
+    x = [rng.normal(size=(int(s), 3)) for s in sizes]
+    if kind == "tiny_mlp":
+        ds = [LocalDataset(features=xi, labels=rng.integers(0, 3, size=len(xi))) for xi in x]
+        task = TinyMLPTask(ds, batch_size=1, n_classes=3, hidden=4)
+    elif kind == "logistic":
+        ds = [LocalDataset(features=xi, labels=np.where(rng.random(len(xi)) < 0.5, -1, 1)) for xi in x]
+        task = LogisticTask(ds, batch_size=1)
+    else:
+        exact = np.vectorize(Fraction, otypes=[object]) if kind == "quadratic_exact" else np.asarray
+        task = QuadraticTask([LocalDataset(features=exact(xi)) for xi in x], batch_size=1)
+        return task, exact(rng.normal(size=3))
+    return task, rng.normal(size=task.dim)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert [(type(v), v) for v in a] == [(type(v), v) for v in b]
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+class TestDerivedGradients:
+    """The full and global gradients the Task base derives from batch_gradient
+    equal their explicit forms bit for bit."""
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_batch_gradient_over_all_rows(self, seed):
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(1, 20))
-        x = rng.normal(size=(size, 3))
-        task = LogisticTask([LocalDataset(features=x, labels=np.where(rng.random(size) < 0.5, -1, 1))],
-                            batch_size=1)
-        w = rng.normal(size=3)
-        assert np.array_equal(task.full_gradient(0, w), task.batch_gradient(0, w, np.arange(size)))
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_exact", "logistic", "tiny_mlp"])
+    def test_bitwise_equal_to_explicit_forms(self, kind, seed):
+        task, w = derived_case(kind, seed)
+        sizes = task.dataset_sizes()
+        for i, size in enumerate(sizes):
+            assert_bitwise_equal(task.full_gradient(i, w), task.batch_gradient(i, w, np.arange(size)))
+        # the device average, and the weighted sum the engine used to form
+        total = task.full_gradient(0, w)
+        for i in range(1, task.n_devices):
+            total = total + task.full_gradient(i, w)
+        assert_bitwise_equal(task.global_gradient(w), total / task.n_devices)
+        weights = [s / sum(sizes) for s in sizes]
+        total = weights[0] * task.full_gradient(0, w)
+        for i in range(1, task.n_devices):
+            total = total + weights[i] * task.full_gradient(i, w)
+        assert_bitwise_equal(task.global_gradient(w, weighted=True), total)
 
 
 class TestGlobalLoss:

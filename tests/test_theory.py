@@ -195,7 +195,53 @@ class TestRateBound:
             assert rate_bound(replace(base, schedule=Schedule(tuple(taus), 10)), 10)[1] > e0
 
 
+@st.composite
+def ragged_trees(draw, depth):
+    """A depth-`depth` tree as in test_topology: every upper node gets one
+    child, up to four more land anywhere, and each layer is shuffled."""
+    sizes, parents = [1], []
+    for _ in range(depth):
+        up = sizes[0]
+        extra = draw(st.lists(st.integers(0, up - 1), max_size=4))
+        parents.insert(0, draw(st.permutations(list(range(up)) + extra)))
+        sizes.insert(0, len(parents[0]))
+    return build_topology(sizes, parents=parents)
+
+
+@st.composite
+def drawn_params(draw, depth, quantized):
+    """TheoryParams on a ragged tree, in criterion 03's ranges; q = 0 unless `quantized`."""
+    per_layer = st.lists(st.floats(0.0, 1.0) if quantized else st.just(0.0), min_size=depth, max_size=depth)
+    return params(
+        draw(ragged_trees(depth)),
+        draw(st.lists(st.integers(1, 5), min_size=depth, max_size=depth)),
+        draw(per_layer),
+        mu=draw(st.floats(1e-4, 0.1)),
+        lipschitz=draw(st.floats(0.5, 5.0)),
+        sigma2=draw(st.floats(0.0, 2.0)),
+        gap0=draw(st.floats(0.0, 3.0)),
+    )
+
+
+def assert_close(general, oracle):
+    assert abs(general - oracle) <= 1e-12 * max(1.0, abs(general))
+
+
 class TestCorollaries:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda depth: drawn_params(depth, quantized=False)), st.integers(1, 40))
+    def test_general_forms_equal_corollary1_without_quantization(self, p, rounds):
+        assert_close(condition_lhs(p), corollary1_condition(p))
+        for general, oracle in zip(rate_bound(p, rounds), corollary1_bound(p, rounds)):
+            assert_close(general, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_params(2, quantized=True), st.integers(1, 40))
+    def test_general_forms_equal_corollary2_on_two_layers(self, p, rounds):
+        assert_close(condition_lhs(p), corollary2_condition(p))
+        for general, oracle in zip(rate_bound(p, rounds), corollary2_bound(p, rounds)):
+            assert_close(general, oracle)
+
     def test_corollary2_all_ones(self):
         topo = random_two_layer(np.random.default_rng(104))
         p = params(topo, (1, 1), (0.0, 0.0), mu=0.3, lipschitz=2.0)

@@ -3,13 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from hierfed.topology import (
     EmptyServer,
-    LayerSkip,
     OrphanNode,
     TooDeep,
     TopologyError,
     build_topology,
-    build_topology_from_edges,
-    layer_counts,
     reduce_depth,
 )
 
@@ -47,7 +44,6 @@ class TestBuild:
         t = fig1()
         assert t.children_of(1, 3) == (6, 7, 8, 9, 10)
         assert t.children_of(2, 1) == (2, 3)
-        assert t.device_indices(2, 0) == [0, 1, 2, 3]
 
     def test_orphan_out_of_range(self):
         with pytest.raises(OrphanNode):
@@ -60,16 +56,6 @@ class TestBuild:
     def test_empty_server(self):
         with pytest.raises(EmptyServer):
             build_topology([2, 2, 1], parents=[[0, 0], [0, 0]])
-
-    def test_layer_skip(self):
-        edges = {(0, 0): (2, 0), (0, 1): (1, 0), (1, 0): (2, 0)}
-        with pytest.raises(LayerSkip):
-            build_topology_from_edges([2, 1, 1], edges)
-
-    def test_edges_roundtrip(self):
-        edges = {(0, 0): (1, 0), (0, 1): (1, 0), (1, 0): (2, 0)}
-        t = build_topology_from_edges([2, 1, 1], edges)
-        assert t.subtree_devices[1] == (2,)
 
     def test_top_layer_must_be_cloud(self):
         with pytest.raises(TopologyError):
@@ -136,7 +122,3 @@ class TestCountsAndInvariants:
             assert sorted(c for kids in t.children[layer - 1] for c in kids) == list(range(sizes[layer - 1]))
             assert sum(t.subtree_devices[layer]) == t.n_devices
 
-    def test_layer_counts_examples(self):
-        assert layer_counts(fig1()) == (4, 2, 11)
-        assert layer_counts(build_topology([1, 1], parents=[[0]])) == (1,)
-        assert layer_counts(baseline_6layer()) == (32, 16, 8, 4, 2, 96)
