@@ -45,6 +45,7 @@ _TASK_GEN_STREAM = 3
 _FREQ_STREAM = 4
 _INIT_STREAM = 5
 _THEORY_CONSTANTS = ("lipschitz", "sigma2", "gap0")
+_ONE_LAYER_QUANTIZED = "one aggregation layer with a quantized hop: the condition has no q_1 term"
 
 
 class ConfigError(ValueError):
@@ -384,13 +385,17 @@ def _theory_block(s: _Setup) -> dict | None:
         params = theory_mod.TheoryParams(**constants, mu=s.lr, q=s.q, topology=s.topo, schedule=s.sched)
     speed, err, total = theory_mod.rate_bound(params, s.sched.global_rounds)
     condition = theory_mod.condition_lhs(params)
+    # the one-layer condition sums carry no q_1 term, and quantized one-layer
+    # runs measurably exceed the bound they give
+    uncovered = {"bound_not_covered": _ONE_LAYER_QUANTIZED} if len(s.q) == 1 and s.q[0] > 0 else {}
     return {
         "lipschitz": params.lipschitz,
         "sigma2": params.sigma2,
         "gap0": params.gap0,
         "sources": {k: "config" if k in given else s.task.theory_source for k in _THEORY_CONSTANTS},
         "condition_value": condition,
-        "bound_applies": condition >= 0.0,  # the bound terms below hold only then
+        "bound_applies": condition >= 0.0 and not uncovered,  # the bound terms below hold only then
+        **uncovered,
         "max_feasible_mu": theory_mod.max_feasible_mu(params),
         "bound_speed_term": speed,
         "bound_error_term": err,

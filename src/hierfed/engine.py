@@ -11,9 +11,11 @@ global model once per round.
 Draws come from addressable streams keyed by the master seed: batches per
 (round, device), whatever the tree shape, so nested and flat runs with coupled
 seeds sample identical batches; quantizer dither per (round, hop), one call
-per hop on its whole delta matrix. With exact-rational models (numpy object
-arrays of Fraction) no step rounds, which is how the flat-averaging collapse
-is checked bit-for-bit.
+per hop on its whole delta matrix. A device's batches for a round are drawn
+as one block at the round's start, and row k of it equals the k-th of the
+per-step draws `run_fedavg_reference` makes from the same stream. With
+exact-rational models (numpy object arrays of Fraction) no step rounds, which
+is how the flat-averaging collapse is checked bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quantizer import NonFiniteInput, QuantizerSpec, quantize
-from .tasks import Task, flat_global_loss
+from .tasks import Task, _sample_batch, flat_global_loss
 from .topology import Topology
 
 _BATCH_STREAM = 1
@@ -171,7 +173,7 @@ def run(
         # a finite model far out can still overflow its loss or gradient norm
         if not exact and not (np.isfinite(metrics.loss[-1]) and np.isfinite(metrics.grad_norm_sq[-1])):
             raise Diverged(f"round {t}: loss or gradient norm is not finite")
-        batch_rngs = [_stream(seed, _BATCH_STREAM, t, i) for i in range(n_dev)]
+        batches = [task.sample_batches(i, _stream(seed, _BATCH_STREAM, t, i), spans[-1]) for i in range(n_dev)]
         hop_rngs = [_stream(seed, _QUANT_STREAM, t, hop) for hop in range(1, n_layers + 1)]
         # anchor[l] / acc[l]: each layer-l node's model at the start of its
         # current burst, and its update since then
@@ -184,7 +186,7 @@ def run(
                     anchor[layer] = (anchor[layer + 1] + acc[layer + 1])[parents[layer]]
                     acc[layer] = _zeros(acc[layer].shape, exact)
                 model = anchor[0] + acc[0]
-                grads = np.array([task.stochastic_gradient(i, model[i], batch_rngs[i]) for i in range(n_dev)])
+                grads = np.array([task.stochastic_gradient(i, model[i], batches[i]) for i in range(n_dev)])
                 acc[0] = acc[0] - lr * grads
                 top = 0
                 while top < n_layers and step % spans[top] == 0:
@@ -195,6 +197,7 @@ def run(
                     top += 1
         except NonFiniteInput as exc:
             raise Diverged(f"round {t}: {exc}") from exc
+        del batches  # spent: free the round's index blocks before the next round draws its own
         w = w + acc[n_layers][0]
         # object (Fraction) models are exact and cannot overflow
         if not exact and not np.all(np.isfinite(w)):
@@ -246,8 +249,8 @@ def run_fedavg_reference(
             rng = _stream(seed, _BATCH_STREAM, t, i)
             acc = _zeros(w.shape, exact)
             for _ in range(local_steps):
-                g = task.stochastic_gradient(i, w + acc, rng)
-                acc = acc - lr * g
+                idx = _sample_batch(task.datasets[i].size, task.batch_size, rng)
+                acc = acc - lr * task.batch_gradient(i, w + acc, idx)
             update = update + client_w[i] * acc
         w = w + update
     metrics.final_model = w

@@ -16,6 +16,7 @@ be computed without floating-point rounding.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +56,26 @@ def _sample_batch(size: int, batch: int, rng: np.random.Generator) -> np.ndarray
     return idx
 
 
+def _sample_batches(size: int, batch: int, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """`steps` successive `_sample_batch` draws as the rows of one index block.
+
+    One `(steps, size)` key draw fills the rows with the doubles `steps`
+    successive `rng.random(size)` calls would give, so row k is the k-th
+    per-step draw. Only the sorted `(steps, batch)` indices outlive the call.
+    """
+    if batch > size:
+        raise BatchTooLarge(f"batch {batch} > dataset size {size}")
+    if batch == size:
+        return np.broadcast_to(np.arange(size), (steps, size))
+    return np.sort(rng.random((steps, size)).argpartition(batch - 1, axis=1)[:, :batch], axis=1)
+
+
 class Task:
     """Common surface: per-device losses and (stochastic) gradients.
 
     A task supplies `local_loss` and `batch_gradient`; the full, stochastic
-    and global gradients are derived from `batch_gradient` here.
+    and global gradients are derived from `batch_gradient` here, the
+    stochastic one from a device's batch stream (`sample_batches`).
     """
 
     kind: str
@@ -95,10 +111,14 @@ class Task:
     def full_gradient(self, device: int, w: np.ndarray) -> np.ndarray:
         return self.batch_gradient(device, w, slice(None))
 
-    def stochastic_gradient(self, device: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Gradient of the mean loss over a fresh uniform mini-batch."""
-        idx = _sample_batch(self.datasets[device].size, self.batch_size, rng)
-        return self.batch_gradient(device, w, idx)
+    def sample_batches(self, device: int, rng: np.random.Generator, steps: int) -> Iterator[np.ndarray]:
+        """The device's batch stream for `steps` steps: uniform mini-batches
+        drawn as one block, equal to `steps` successive per-step draws."""
+        return iter(_sample_batches(self.datasets[device].size, self.batch_size, rng, steps))
+
+    def stochastic_gradient(self, device: int, w: np.ndarray, batches: Iterator[np.ndarray]) -> np.ndarray:
+        """Gradient of the mean loss over the next mini-batch of the stream."""
+        return self.batch_gradient(device, w, next(batches))
 
     def global_gradient(self, w: np.ndarray, weighted: bool = False) -> np.ndarray:
         """Full-batch gradient of the global objective: the device average or,

@@ -380,7 +380,7 @@ def test_criterion_08_latency_arithmetic():
     _report(8, "reference constants give t_CP = 20 s and the exact 2-layer expansion", started)
 
 
-def test_criterion_09_depth_time_ordering():
+def test_criterion_09_depth_time_ordering(tmp_path):
     started = time.monotonic()
     probe = LatencyParams(
         cycles_per_sample=0.25e9, frequencies=[0.5e9], batch_size=4,
@@ -410,7 +410,7 @@ def test_criterion_09_depth_time_ordering():
             "kappas": {4: 1.0, 3: 10.0, 2: 25.0, 1: 80.0},
             "taus": {4: [2, 2, 2, 2], 3: [4, 2, 2], 2: [8, 2], 1: [16]},
         },
-        "output_dir": "/tmp/hierfed_acceptance_depths",
+        "output_dir": str(tmp_path / "depths"),
     }
     rows = compare_depths(cfg)
     assert [r["depth"] for r in rows] == [4, 3, 2, 1]

@@ -539,6 +539,33 @@ class TestMainEntry:
         assert out["condition_value"] >= 0 and out["bound_applies"] is True
         assert run_experiment(quad_config(tmp_path))["theory"]["bound_applies"] is True
 
+    def one_layer_config(self, tmp_path, seed, quantizers):
+        return quad_config(
+            tmp_path,
+            seed=seed,
+            topology={"layer_sizes": [2, 1], "fanouts": [2]},
+            task={"kind": "quadratic", "dimension": 6, "samples_per_device": 8, "batch_size": 1,
+                  "center_spread": 0.3, "sample_spread": 0.2, "init_scale": 2.0},
+            schedule={"taus": [1], "rounds": 30},
+            quantizers=quantizers,
+            lr=1.0,
+        )
+
+    def test_one_layer_quantized_bound_not_covered(self, tmp_path):
+        # lr 1.0 is this instance's max_feasible_mu, yet the runs exceed
+        # bound_total: the bound must not claim to hold
+        exceeded = 0
+        for seed in range(100, 106):
+            out = run_experiment(self.one_layer_config(tmp_path, seed, [{"kind": "stochastic_levels", "levels": 1}]))
+            block = out["theory"]
+            assert block["condition_value"] >= 0 and block["bound_applies"] is False
+            assert "q_1" in block["bound_not_covered"]
+            exceeded += out["mean_grad_norm_sq"] > block["bound_total"]
+        assert exceeded >= 4
+        # without quantization the one-layer bound still applies
+        block = run_experiment(self.one_layer_config(tmp_path, 100, [{"kind": "identity"}]))["theory"]
+        assert block["bound_applies"] is True and "bound_not_covered" not in block
+
     def test_optimize_subcommand_with_oracle(self, tmp_path, capsys):
         cfg = quad_config(
             tmp_path,

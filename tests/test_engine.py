@@ -15,7 +15,7 @@ from hierfed.engine import (
     run_fedavg_reference,
 )
 from hierfed.quantizer import identity, stochastic
-from hierfed.tasks import LocalDataset, QuadraticTask, flat_global_loss
+from hierfed.tasks import LocalDataset, QuadraticTask, _sample_batch, flat_global_loss
 from hierfed.theory import TheoryParams, corollary1_condition
 from hierfed.topology import build_topology
 
@@ -137,15 +137,16 @@ class TestRunBasics:
 
 
 class CountingTask(QuadraticTask):
-    """Logs (device, generator, generator state before the call) per gradient call."""
+    """Logs (device, batch stream, index row the call consumes) per gradient call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = []
 
-    def stochastic_gradient(self, device, w, rng):
-        self.calls.append((device, rng, rng.bit_generator.state))
-        return super().stochastic_gradient(device, w, rng)
+    def stochastic_gradient(self, device, w, batches):
+        row = next(batches)
+        self.calls.append((device, batches, row))
+        return super().stochastic_gradient(device, w, iter([row]))
 
 
 class TestDeviceStepContract:
@@ -173,7 +174,12 @@ class TestDeviceStepContract:
             for i in range(n_dev):
                 mine = block[i::n_dev]
                 assert len({id(g) for _, g, _ in mine}) == 1
-                assert mine[0][2] == _stream(seed, _BATCH_STREAM, t, i).bit_generator.state
+                # the round's rows are the successive per-step draws of a fresh stream
+                fresh = _stream(seed, _BATCH_STREAM, t, i)
+                for _, _, row in mine:
+                    assert np.array_equal(row, _sample_batch(task.datasets[i].size, task.batch_size, fresh))
+                assert next(mine[0][1], None) is None  # the round's stream holds prod(taus) rows
+        assert len({id(g) for _, g, _ in task.calls}) == rounds * n_dev
 
     def test_depth_does_not_change_the_draws(self):
         rng = np.random.default_rng(62)
@@ -186,7 +192,10 @@ class TestDeviceStepContract:
             seed=63)
         run(flat, flat_topo, Schedule((12,), 2), [identity()], 0.05, seed=63)
         for i in range(n_dev):
-            assert [s for d, _, s in deep.calls if d == i] == [s for d, _, s in flat.calls if d == i]
+            deep_rows = [r for d, _, r in deep.calls if d == i]
+            flat_rows = [r for d, _, r in flat.calls if d == i]
+            assert len(deep_rows) == len(flat_rows) == 24
+            assert all(np.array_equal(a, b) for a, b in zip(deep_rows, flat_rows))
 
 
 class TestCollapse:
@@ -326,7 +335,7 @@ class TestRoundMapOracle:
         sizes = [int(rng.integers(2, 5)) for _ in range(topo.n_devices)]
 
         class FullBatch(QuadraticTask):
-            def stochastic_gradient(self, device, w, rng):
+            def stochastic_gradient(self, device, w, batches):
                 return self.full_gradient(device, w)
 
         fb = FullBatch(
@@ -346,7 +355,7 @@ class TestRoundMapOracle:
         sizes = [int(rng.integers(1, 6)) for _ in range(topo.n_devices)]
 
         class FullBatch(QuadraticTask):
-            def stochastic_gradient(self, device, w, rng):
+            def stochastic_gradient(self, device, w, batches):
                 return self.full_gradient(device, w)
 
         fb = FullBatch(
@@ -370,7 +379,7 @@ class TestQuantizedUnbiasedness:
         topo = build_topology([4, 2, 1], parents=[[0, 0, 1, 1], [0, 0]])
 
         class FullBatch(QuadraticTask):
-            def stochastic_gradient(self, device, w, rng):
+            def stochastic_gradient(self, device, w, batches):
                 return self.full_gradient(device, w)
 
         task = FullBatch(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hierfed.tasks import (
@@ -21,7 +21,7 @@ from hierfed.tasks import (
 )
 from hierfed.engine import Schedule, run
 from hierfed.quantizer import stochastic
-from hierfed.tasks import _sample_batch
+from hierfed.tasks import _sample_batch, _sample_batches
 from hierfed.topology import build_topology
 
 FIG1 = build_topology([11, 4, 2, 1], parents=[[0, 0, 0, 1, 2, 2, 3, 3, 3, 3, 3], [0, 0, 1, 1], [0, 0]])
@@ -35,8 +35,9 @@ def estimate_sigma2(task, w0, rng, trials):
     worst = 0.0
     for i in range(task.n_devices):
         acc = 0.0
+        batches = task.sample_batches(i, rng, trials)
         for _ in range(trials):
-            diff = task.stochastic_gradient(i, w0, rng) - g_ref
+            diff = task.stochastic_gradient(i, w0, batches) - g_ref
             acc += float(np.dot(diff, diff))
         worst = max(worst, acc / trials)
     return worst
@@ -75,6 +76,35 @@ class TestSampleBatch:
         assert rng.bit_generator.state == before
 
 
+class TestSampleBatches:
+    """A round's block of batches equals that many successive per-step draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(lambda size: st.tuples(st.just(size), st.integers(1, size))),
+        st.integers(1, 50),
+        st.integers(0, 2**63 - 1),
+    )
+    @example((7, 7), 5, 0)  # full batch: broadcast rows, no draw
+    def test_rows_equal_successive_draws(self, size_batch, steps, seed):
+        size, batch = size_batch
+        block_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = _sample_batches(size, batch, block_rng, steps)
+        assert block.shape == (steps, batch)
+        for row in block:
+            one = _sample_batch(size, batch, step_rng)
+            assert row.dtype == one.dtype and np.array_equal(row, one)
+        assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size, batch", [(1, 2), (5, 6), (8, 40)])
+    def test_batch_too_large(self, size, batch):
+        rng = np.random.default_rng(54)
+        before = rng.bit_generator.state
+        with pytest.raises(BatchTooLarge):
+            _sample_batches(size, batch, rng, 4)
+        assert rng.bit_generator.state == before
+
+
 class TestQuadratic:
     def test_loss_at_minimum(self):
         task = point_task([[2.0]])
@@ -93,7 +123,7 @@ class TestQuadratic:
         rng = np.random.default_rng(0)
         task = make_quadratic_task(3, 2, rng, samples_per_device=5, batch_size=5)
         w = np.array([0.3, -0.1])
-        g1 = task.stochastic_gradient(0, w, np.random.default_rng(1))
+        g1 = task.stochastic_gradient(0, w, task.sample_batches(0, np.random.default_rng(1), 1))
         g2 = task.full_gradient(0, w)
         assert np.all(g1 == g2)
 
@@ -103,9 +133,9 @@ class TestQuadratic:
         w = np.zeros(3)
         trials = 100_000
         draws = np.empty((trials, 3))
-        g_rng = np.random.default_rng(3)
+        batches = task.sample_batches(0, np.random.default_rng(3), trials)
         for k in range(trials):
-            draws[k] = task.stochastic_gradient(0, w, g_rng)
+            draws[k] = task.stochastic_gradient(0, w, batches)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(mean - task.full_gradient(0, w)) <= 4 * se + 1e-12)
@@ -113,8 +143,8 @@ class TestQuadratic:
     def test_seed_replay_bit_identical(self):
         task = make_quadratic_task(2, 4, np.random.default_rng(4), batch_size=3)
         w = np.ones(4)
-        g1 = task.stochastic_gradient(1, w, np.random.default_rng(99))
-        g2 = task.stochastic_gradient(1, w, np.random.default_rng(99))
+        g1 = task.stochastic_gradient(1, w, task.sample_batches(1, np.random.default_rng(99), 1))
+        g2 = task.stochastic_gradient(1, w, task.sample_batches(1, np.random.default_rng(99), 1))
         assert np.all(g1 == g2)
 
     def test_batch_too_large(self):
