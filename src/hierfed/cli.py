@@ -354,6 +354,8 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     if command == "optimize":
         return s
     s.lr = _scalar(cfg, "lr", float)
+    if not 0.0 < s.lr < math.inf:
+        raise ConfigError(f"lr must be positive and finite, got {s.lr}")
     s.weighted = bool(cfg.get("weighted", False))
     s.theory = _section(cfg, "theory", required=False)
     for k in _THEORY_CONSTANTS:
@@ -364,6 +366,8 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
         taus = s.optimizer.taus_integer
     else:
         taus = tuple(_list(scfg, "taus", int, "schedule"))
+        if len(taus) != topo.num_layers:
+            raise ConfigError(f"schedule.taus needs {topo.num_layers} entries, one per layer, got {len(taus)}")
     s.sched = engine.Schedule(taus, s.lat.rounds)
     scale = task_resolved["init_scale"]
     s.w0 = scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim) if scale else np.zeros(task.dim)
@@ -564,6 +568,8 @@ def _cmd_theory(cfg: dict) -> dict:
 
 
 def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
+    if tau_max < 1:
+        raise ConfigError(f"--tau-max must be at least 1, got {tau_max}")
     spec = _setup(cfg, "optimize").objective()
     res = gp_optimizer.optimize(spec)
     out = _optimizer_block(res)

@@ -126,31 +126,21 @@ def objective(spec: ObjectiveSpec, taus) -> float:
     return speed + err
 
 
-def _prefix_growth(spec: ObjectiveSpec, upto: int) -> float:
-    return math.prod(1.0 + spec.q[m] for m in range(upto))
+def _slot_weights(spec: ObjectiveSpec) -> list[float]:
+    """w_k = (C_k / N_tot) prod_{m<k} (1 + q_m) for k = 0..N-1, with C_0 = N_tot:
+    the post-convergence cost weight of iterating in slot k + 1."""
+    weights, growth = [], 1.0
+    for c, q in zip((spec.n_tot, *spec.counts), spec.q):
+        weights.append(c / spec.n_tot * growth)
+        growth *= 1.0 + q
+    return weights
 
 
 def _u_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial terms u_k of J- (excluding the constant), k = 1..N-1."""
-    n = spec.n_layers
-    coeffs = [spec.error_weight * spec.counts[k - 1] / spec.n_tot * _prefix_growth(spec, k)
-              for k in range(1, n)]
-    exps = [[1.0] * k + [0.0] * (n - k) for k in range(1, n)]  # u_k = coeff * tau_1 ... tau_k
-    return np.array(exps).reshape(n - 1, n), np.array([math.log(c) if c > 0 else -math.inf for c in coeffs])
-
-
-def j_minus(spec: ObjectiveSpec, taus) -> float:
-    arr = _check_taus(taus)
-    total = spec.error_weight
-    for k in range(1, spec.n_layers):
-        total += (
-            spec.error_weight
-            * spec.counts[k - 1]
-            / spec.n_tot
-            * _prefix_growth(spec, k)
-            * float(np.prod(arr[:k]))
-        )
-    return total
+    """Monomial terms u_k = (1 - alpha) w_k tau_1 ... tau_k of J- (excluding
+    the constant), k = 1..N-1, as (exponent matrix, log-coefficient vector)."""
+    coeffs = [spec.error_weight * w for w in _slot_weights(spec)[1:]]
+    return np.tri(spec.n_layers)[:-1], np.array([math.log(c) if c > 0 else -math.inf for c in coeffs])
 
 
 def _j_plus_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +180,10 @@ def j_plus(spec: ObjectiveSpec, taus) -> float:
     return _posynomial(_j_plus_terms(spec), taus)
 
 
+def j_minus(spec: ObjectiveSpec, taus) -> float:
+    return spec.error_weight + _posynomial(_u_terms(spec), taus)
+
+
 def g_value(spec: ObjectiveSpec, taus) -> float:
     return _posynomial(_g_terms(spec), taus)
 
@@ -223,6 +217,9 @@ _MAX_NEWTON = 100  # per centering phase
 _FULL_STEP = 1e-3  # lambda^2/2 below which the Newton step is taken whole
 _ARMIJO = 0.01
 _MAX_BACKTRACK = 60
+_TOLERANCE = 1e-8  # optimize stops once delta moves by less than this, relative,
+_MAX_ITERS = 200  # or after this many AGMA steps
+_COMM_TOL = 1e-6  # closed form: communication is negligible below this fraction of t_CP
 
 
 def _solve_inner(
@@ -345,12 +342,11 @@ def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
     arr = _check_taus(taus)
     if g_value(spec, arr) > 1.0 + 1e-9:
         raise InfeasibleStart(f"G(taus) = {g_value(spec, arr):.6g} > 1")
-    jm = j_minus(spec, arr)
-    denom = jm + delta
-    beta0 = (spec.error_weight + delta) / denom
     u_exps, u_logc = _u_terms(spec)
     y_cur = np.log(arr)
-    u_vals = np.exp(u_exps @ y_cur + u_logc) if len(u_logc) else np.zeros(0)
+    u_vals = np.exp(u_exps @ y_cur + u_logc)
+    denom = spec.error_weight + float(np.sum(u_vals)) + delta  # J- + delta
+    beta0 = (spec.error_weight + delta) / denom
     betas = u_vals / denom
 
     # constants of R(y) = log J+(e^y) + beta0 log beta0 + sum beta_k (log beta_k - log u_k)
@@ -365,8 +361,7 @@ def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
     g_exps, g_logc = _g_terms(spec)
 
     def delta_at(yv: np.ndarray) -> float:
-        r, _, _ = _lse(obj_exps, obj_logc, yv)
-        r = r - float(lin @ yv) + const
+        r = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv) + const
         return math.exp(r / beta0) - spec.error_weight
 
     start = _strictly_feasible_start(spec, arr)
@@ -399,33 +394,29 @@ def _round_with_repair(spec: ObjectiveSpec, taus: tuple[float, ...]) -> tuple[in
         current[best_idx] += 1
 
 
-def optimize(
-    spec: ObjectiveSpec,
-    tolerance: float = 1e-8,
-    max_iters: int = 200,
-) -> OptimizerResult:
+def optimize(spec: ObjectiveSpec) -> OptimizerResult:
     """Run the successive-GP loop from tau = all-ones until the delta sequence
     stabilizes, then round to a deadline-feasible integer schedule."""
     n = spec.n_layers
     ones = np.ones(n)
-    if g_value(spec, ones) > 1.0 + 1e-12:
-        raise NoFeasiblePoint(
-            f"even tau = 1 misses the deadline (G = {g_value(spec, ones):.6g})"
-        )
+    g_ones = g_value(spec, ones)
+    # the final check's own test: all-ones missing the deadline by roundoff is infeasible
+    if not deadline_ok(spec.latency, Schedule((1,) * n, spec.latency.rounds))[0]:
+        raise NoFeasiblePoint(f"even tau = 1 misses the deadline (G = {g_ones:.6g})")
     taus: tuple[float, ...] = (1.0,) * n
-    delta = max(j_plus(spec, ones) - j_minus(spec, ones), tolerance)
+    delta = max(j_plus(spec, ones) - j_minus(spec, ones), _TOLERANCE)
     history = [delta]
     converged = False
     iterations = newton_steps = 0
-    if g_value(spec, ones) < 1.0 - 1e-12:
-        for iterations in range(1, max_iters + 1):
+    if g_ones < 1.0 - 1e-12:
+        for iterations in range(1, _MAX_ITERS + 1):
             step = agma_step(spec, taus, delta)
             new_taus, new_delta, _ = step
             newton_steps += step.newton_steps
             if new_delta < delta:  # accept improvements only, so the sequence
                 taus, delta = new_taus, new_delta  # is non-increasing by construction
             history.append(delta)
-            if abs(history[-1] - history[-2]) < tolerance * max(1.0, abs(history[-2])):
+            if abs(history[-1] - history[-2]) < _TOLERANCE * max(1.0, abs(history[-2])):
                 converged = True
                 break
     else:
@@ -448,22 +439,16 @@ def optimize(
     )
 
 
-def brute_force(spec: ObjectiveSpec, tau_max) -> tuple[tuple[int, ...], float]:
+def brute_force(spec: ObjectiveSpec, tau_max: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive deadline-feasible minimum over {1..tau_max}^N.
 
     Ties keep the lexicographically smallest schedule. Independent of the
-    AGMA path; used as its oracle.
+    AGMA path, down to its own transcription of the bracket; used as its oracle.
     """
     n = spec.n_layers
-    if isinstance(tau_max, int):
-        caps = [tau_max] * n
-    else:
-        caps = [int(v) for v in tau_max]
-        if len(caps) != n:
-            raise ValueError(f"need {n} per-layer caps, got {len(caps)}")
-    if math.prod(caps) > 10_000_000:
-        raise SearchTooLarge(f"grid of {math.prod(caps)} points exceeds the cap")
-    grid = np.array(list(itertools.product(*(range(1, c + 1) for c in caps))), dtype=float)
+    if tau_max**n > 10_000_000:
+        raise SearchTooLarge(f"grid of {tau_max**n} points exceeds the cap")
+    grid = np.array(list(itertools.product(range(1, tau_max + 1), repeat=n)), dtype=float)
     y = np.log(grid)
     g_exps, g_logc = _g_terms(spec)
     feasible = np.exp(y @ g_exps.T + g_logc).sum(axis=1) <= 1.0
@@ -472,40 +457,33 @@ def brute_force(spec: ObjectiveSpec, tau_max) -> tuple[tuple[int, ...], float]:
     values = np.full(len(grid), math.inf)
     speed = spec.speed_weight / np.prod(grid, axis=1)
     bracket = grid[:, 0] - 1.0
-    cum = np.ones(len(grid))
+    cum, growth = np.ones(len(grid)), 1.0
     for k in range(n - 1):
         cum *= grid[:, k]
-        bracket += spec.counts[k] / spec.n_tot * (grid[:, k + 1] - 1.0) * _prefix_growth(spec, k + 1) * cum
+        growth *= 1.0 + spec.q[k]
+        bracket += spec.counts[k] / spec.n_tot * (grid[:, k + 1] - 1.0) * growth * cum
     values[feasible] = (speed + spec.error_weight * bracket)[feasible]
     idx = int(np.argmin(values))  # first minimum = lexicographically smallest
     best = tuple(int(v) for v in grid[idx])
     return best, objective(spec, best)
 
 
-def closed_form_computation_limited(
-    spec: ObjectiveSpec, comm_tol: float = 1e-6
-) -> tuple[float, ...]:
+def closed_form_computation_limited(spec: ObjectiveSpec) -> tuple[float, ...]:
     """Closed-form schedule when communication times are negligible.
 
-    All iterations go to the slot whose post-convergence cost coefficient
-    (C_{j-1} / N_tot) * prod_{m<j} (1 + q_m), with C_0 = N_tot, is smallest;
-    ties pick the highest slot. Without quantization that is always the top
-    layer. The selected slot gets T_d / (T * t_CP), everything else 1.
+    All iterations go to the slot whose post-convergence cost weight
+    (_slot_weights) is smallest; ties pick the highest slot. Without
+    quantization that is always the top layer. The selected slot gets
+    T_d / (T * t_CP), everything else 1.
     """
     lat = spec.latency
     t_cp, *comm = round_coefficients(lat, spec.n_layers)
-    if t_cp <= 0 or max(comm) > comm_tol * t_cp:
+    if t_cp <= 0 or max(comm) > _COMM_TOL * t_cp:
         raise RegimeViolation("communication times are not negligible vs t_CP")
     budget = lat.deadline / lat.rounds / t_cp
     if budget < 1.0:
         raise RegimeViolation(f"deadline allows only {budget:.3g} < 1 iterations")
-    n = spec.n_layers
-    ext_counts = (spec.n_tot, *spec.counts)  # C_0 = N_tot
-    best_slot, best_cost = 1, math.inf
-    for slot in range(1, n + 1):
-        cost = ext_counts[slot - 1] / spec.n_tot * _prefix_growth(spec, slot - 1)
-        if cost <= best_cost:  # ties resolve to the highest slot
-            best_slot, best_cost = slot, cost
-    taus = [1.0] * n
-    taus[best_slot - 1] = budget
+    weights = _slot_weights(spec)
+    taus = [1.0] * spec.n_layers
+    taus[min(reversed(range(spec.n_layers)), key=weights.__getitem__)] = budget  # first minimum from the top
     return tuple(taus)

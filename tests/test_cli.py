@@ -411,7 +411,7 @@ class TestMainEntry:
             ("run", {"quantizers": [{"kind": "bogus"}] * 3}, "bogus"),
             ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}, "fanouts"),
             ("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}, "iteration counts"),
-            ("run", {"lr": -0.05}, "mu must be positive"),  # rejected by the theory block, after training
+            ("run", {"lr": -0.05}, "lr must be positive"),  # rejected before training
             (  # reduce_depth needs a uniform fan-out tree
                 "compare-depths",
                 {
@@ -453,6 +453,16 @@ class TestMainEntry:
             ("compare-depths", {"compare": {"depths": [3], "taus": {"x": [2, 1, 1]}}}, "'x'"),
             # checked against the base tree, as run checks it, before each depth takes its hops
             ("compare-depths", {"quantizers": [{"kind": "identity"}] * 5, "compare": {"depths": [3]}}, "3 entries"),
+            # a task without theory constants trains with any lr unless _setup rejects it
+            (
+                "run",
+                {"task": {"kind": "tiny_mlp", "pool": {"synthetic": {"samples": 400}}}, "lr": 0},
+                "lr must be positive",
+            ),
+            ("theory", {"lr": "inf"}, "lr must be positive"),
+            # run and theory name the same key
+            ("run", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
+            ("theory", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -462,6 +472,7 @@ class TestMainEntry:
             "size_range_length", "theory_constant_list",
             "lr_list", "seed_list", "dimension_list", "rounds_list", "kappa_list",
             "kappa_depth_key", "taus_depth_key", "compare_quantizers_length",
+            "lr_zero_tiny_mlp", "lr_inf", "taus_length_run", "taus_length_theory",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -575,6 +586,13 @@ class TestMainEntry:
         assert main(["optimize", self.write(tmp_path, cfg), "--oracle", "--tau-max", "12"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["oracle_gap"] <= 1.02
+
+    @pytest.mark.parametrize("tau_max", ["0", "-3"])
+    def test_optimize_tau_max_below_one_exit_two(self, tmp_path, capsys, tau_max):
+        cfg = quad_config(tmp_path, schedule={"rounds": 4}, latency={"deadline": 4000.0})
+        assert main(["optimize", self.write(tmp_path, cfg), "--oracle", "--tau-max", tau_max]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--tau-max" in err
 
     def test_optimizer_block_shared_by_run_and_optimize(self, tmp_path, capsys):
         cfg = quad_config(

@@ -21,7 +21,8 @@ from hierfed.gp_optimizer import (
     objective,
     optimize,
 )
-from hierfed.latency import LatencyParams
+from hierfed.engine import Schedule
+from hierfed.latency import LatencyParams, round_latency
 
 
 def make_spec(alpha, counts, n_tot, q, t_edge, deadline, rounds=1, cycles=1e7):
@@ -178,6 +179,18 @@ class TestOptimize:
         spec = make_spec(0.5, (4,), 16, (0.1, 0.1), [1.0], deadline=1e-9)
         with pytest.raises(NoFeasiblePoint):
             optimize(spec)
+
+    def test_near_miss_deadline_is_infeasible(self):
+        # deadlines a few ulps below the all-ones latency leave G(1) within
+        # roundoff of 1; the all-ones schedule still misses them
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            spec = random_spec(rng)
+            lat = spec.latency
+            ones = round_latency(lat, Schedule((1,) * spec.n_layers, lat.rounds))
+            lat.deadline = ones * lat.rounds * (1 - 1e-15)
+            with pytest.raises(NoFeasiblePoint):
+                optimize(spec)
 
     def test_integer_result_feasible_and_reported_honestly(self):
         rng = np.random.default_rng(5)
