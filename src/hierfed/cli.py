@@ -5,7 +5,7 @@ Subcommands:
     theory          print condition value, max feasible learning rate, bound
     optimize        print the iteration-count optimizer result
     compare-depths  run reduced-depth variants of a uniform tree
-    measure-q       print the certified and typical quantizer variance constants
+    measure-q       print the certified quantizer variance constants
 
 Configs are YAML (JSON parses too). Every subcommand resolves its config
 through the same `_setup` step, which reads each key once with one default:
@@ -224,6 +224,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
     return task, pool, resolved
 
 
+@_config_errors()
 def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]:
     qcfg = cfg.get("quantizers")
     if qcfg is None:
@@ -263,12 +264,11 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         deadline=_scalar(lcfg, "deadline", float, "latency", math.inf),
         rounds=rounds,
     )
+    t_de = latency_mod.compute_tde(params)  # rejects a zero link rate whatever the t_edge form
     t_edge = lcfg.get("t_edge")
     if t_edge is None:
-        t_de = latency_mod.compute_tde(params)
         t_edge = [10.0 * (k + 1) * t_de for k in range(n_layers - 1)]
     elif isinstance(t_edge, dict):
-        t_de = latency_mod.compute_tde(params)
         t_edge = [m * t_de for m in _list(t_edge, "multipliers", float, "latency.t_edge")]
     else:
         t_edge = _list(lcfg, "t_edge", float, "latency")
@@ -302,6 +302,7 @@ class _Setup:
     optimizer: gp_optimizer.OptimizerResult | None = None
     w0: np.ndarray | None = None
 
+    @_config_errors()
     def objective(self) -> gp_optimizer.ObjectiveSpec:
         return gp_optimizer.ObjectiveSpec(
             alpha=self.alpha,
@@ -310,9 +311,6 @@ class _Setup:
             q=tuple(self.q),
             latency=self.lat,
         )
-
-    def q_typical(self) -> list[float]:
-        return [quant_mod.typical_q(spec, self.task.dim) for spec in self.quantizers]
 
     def echo(self) -> dict:
         """The resolved config, which reproduces the run on its own."""
@@ -327,7 +325,6 @@ class _Setup:
             "schedule": {"taus": list(self.sched.taus), "rounds": self.sched.global_rounds},
             "quantizers": [{"kind": spec.kind, "levels": spec.levels} for spec in self.quantizers],
             "q": list(self.q),
-            "q_typical": self.q_typical(),
             "lr": self.lr,
             "weighted": self.weighted,
             "alpha": self.alpha,
@@ -470,6 +467,7 @@ def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.
         "total_time": elapsed[-1],
         "theory": _theory_block(s),
         "optimizer": None if s.optimizer is None else _optimizer_block(s.optimizer),
+        "diagnostics": {"q_realized_mean": metrics.q_realized_mean, "q_realized_max": metrics.q_realized_max},
         "config": s.echo(),
     }
 
@@ -521,12 +519,9 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             "fanouts": list(topo.fanouts),
         }
         sub_sched = _section(cfg, "schedule", required=False)
-        optimized = sub_sched.get("optimize", False)  # then _setup optimizes this depth's taus
         if depth in taus_map:
             sub_sched["taus"] = taus_map[depth]
             sub_sched.pop("optimize", None)
-        elif not optimized and len(_list(sub_sched, "taus", int, "schedule", default=[])) != depth:
-            raise ConfigError(f"no schedule of length {depth} for depth {depth}")
         sub["schedule"] = sub_sched
         sub_lat = _section(cfg, "latency", required=False)
         sub_lat["kappa"] = kappas.get(depth, 1.0)
@@ -586,7 +581,6 @@ def _cmd_measure_q(cfg: dict) -> dict:
     return {
         "dimension": s.task.dim,
         "q": s.q,
-        "q_typical": s.q_typical(),
         "levels": [spec.levels if not spec.is_identity else None for spec in s.quantizers],
     }
 

@@ -15,7 +15,9 @@ per hop on its whole delta matrix. A device's batches for a round are drawn
 as one block at the round's start, and row k of it equals the k-th of the
 per-step draws `run_fedavg_reference` makes from the same stream. With
 exact-rational models (numpy object arrays of Fraction) no step rounds, which
-is how the flat-averaging collapse is checked bit-for-bit.
+is how the flat-averaging collapse is checked bit-for-bit. Each quantized hop
+also records the error ratio of every nonzero row it sends; that draws
+nothing and moves no model bit.
 """
 
 from __future__ import annotations
@@ -71,13 +73,20 @@ class Schedule:
 @dataclass
 class RunMetrics:
     """Per-round trajectory statistics, each taken at the start of its round,
-    plus the final model and its loss and squared gradient norm."""
+    plus the final model and its loss and squared gradient norm.
+
+    q_realized_mean and q_realized_max hold, per hop, the mean and the largest
+    ||payload - delta||^2 / ||delta||^2 over every nonzero delta row the hop
+    sent: 0.0 for an identity hop, None for a hop that sent no nonzero row.
+    """
 
     loss: list[float] = field(default_factory=list)
     grad_norm_sq: list[float] = field(default_factory=list)
     final_model: np.ndarray | None = None
     final_loss: float | None = None
     final_grad_norm_sq: float | None = None
+    q_realized_mean: list[float | None] = field(default_factory=list)
+    q_realized_max: list[float | None] = field(default_factory=list)
 
     @property
     def rounds(self) -> int:
@@ -120,6 +129,15 @@ def _evaluate(task: Task, w: np.ndarray, weighted: bool) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         g = task.global_gradient(w, weighted)
         return float(loss_fn(w)), float(np.dot(g, g))
+
+
+def _error_ratios(delta: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """||payload - delta||^2 / ||delta||^2 of each nonzero row; scaling by the
+    norm first keeps rows near the quantizer's overflow limit finite."""
+    delta = np.asarray(delta, dtype=float)
+    norm = np.linalg.norm(delta, axis=1)
+    live = norm > 0.0
+    return np.sum(((payload[live] - delta[live]) / norm[live, None]) ** 2, axis=1)
 
 
 def _record(metrics: RunMetrics, task: Task, w: np.ndarray, weighted: bool) -> None:
@@ -168,6 +186,8 @@ def run(
     parents = [np.asarray(p) for p in topology.parents]
 
     metrics = RunMetrics()
+    # per hop: sum, count and largest of the realized error ratios
+    err_sum, err_rows, err_max = [0.0] * n_layers, [0] * n_layers, [0.0] * n_layers
     for t in range(schedule.global_rounds):
         _record(metrics, task, w, weighted)
         # a finite model far out can still overflow its loss or gradient norm
@@ -191,7 +211,13 @@ def run(
                 top = 0
                 while top < n_layers and step % spans[top] == 0:
                     spec, delta = quantizers[top], acc[top]
-                    payload = delta if spec.is_identity else quantize(spec, delta, hop_rngs[top])
+                    payload = delta
+                    if not spec.is_identity:
+                        payload = quantize(spec, delta, hop_rngs[top])
+                        ratios = _error_ratios(delta, payload)
+                        err_sum[top] += ratios.sum()
+                        err_rows[top] += len(ratios)
+                        err_max[top] = max(err_max[top], ratios.max(initial=0.0))
                     # np.add.at adds in index order: each parent sums its children in order
                     np.add.at(acc[top + 1], parents[top], weights[top] * payload)
                     top += 1
@@ -203,6 +229,10 @@ def run(
         if not exact and not np.all(np.isfinite(w)):
             raise Diverged(f"round {t}: model is not finite")
 
+    for spec, total, rows, peak in zip(quantizers, err_sum, err_rows, err_max):
+        sent = spec.is_identity or rows > 0  # an identity hop sends its delta exactly
+        metrics.q_realized_mean.append(float(total) / max(rows, 1) if sent else None)
+        metrics.q_realized_max.append(float(peak) if sent else None)
     metrics.final_model = w
     metrics.final_loss, metrics.final_grad_norm_sq = _evaluate(task, w, weighted)
     if not exact and not (np.isfinite(metrics.final_loss) and np.isfinite(metrics.final_grad_norm_sq)):

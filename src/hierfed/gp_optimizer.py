@@ -446,6 +446,8 @@ def brute_force(spec: ObjectiveSpec, tau_max: int) -> tuple[tuple[int, ...], flo
     AGMA path, down to its own transcription of the bracket; used as its oracle.
     """
     n = spec.n_layers
+    if tau_max < 1:
+        raise ValueError(f"tau_max must be at least 1, got {tau_max}")
     if tau_max**n > 10_000_000:
         raise SearchTooLarge(f"grid of {tau_max**n} points exceeds the cap")
     grid = np.array(list(itertools.product(range(1, tau_max + 1), repeat=n)), dtype=float)

@@ -6,8 +6,8 @@ coordinate of zeta lands on one of two adjacent points of the uniform grid
 (s*|x_i|/||x||) - floor(s*|x_i|/||x||), which makes the map unbiased. Its
 relative error variance E||Q(x)-x||^2 / ||x||^2 is bounded by a constant that
 shrinks as the level count s grows: `measure_q` returns a certified such
-bound in closed form, and `typical_q` the exact ratio on a fixed probe set,
-for comparison.
+bound in closed form. How much of it a run's deltas use is measured by the
+engine (`RunMetrics.q_realized_mean` and `q_realized_max`).
 """
 
 from __future__ import annotations
@@ -107,32 +107,6 @@ def expected_error_ratio(spec: QuantizerSpec, x: np.ndarray) -> float:
     return float(np.sum(p * (1.0 - p))) / s**2
 
 
-def _probe_directions(dimension: int, rng: np.random.Generator, n_gaussian: int = 24) -> list[np.ndarray]:
-    """Unit-norm probe set: normalized Gaussians plus sparse/structured vectors.
-
-    Sparse directions matter because near-sparse inputs maximize the relative
-    error of this quantizer family.
-    """
-    dirs: list[np.ndarray] = []
-    for _ in range(n_gaussian):
-        v = rng.standard_normal(dimension)
-        n = np.linalg.norm(v)
-        if n > 0:
-            dirs.append(v / n)
-    dirs.append(np.ones(dimension) / np.sqrt(dimension))
-    one_hot = np.zeros(dimension)
-    one_hot[0] = 1.0
-    dirs.append(one_hot)
-    if dimension >= 2:
-        two_hot = np.zeros(dimension)
-        two_hot[:2] = 1.0 / np.sqrt(2.0)
-        dirs.append(two_hot)
-        lopsided = np.zeros(dimension)
-        lopsided[0], lopsided[1] = 0.95, np.sqrt(1 - 0.95**2)
-        dirs.append(lopsided)
-    return dirs
-
-
 def measure_q(spec: QuantizerSpec, dimension: int) -> float:
     """Certified relative-variance constant: an upper bound on
     E||Q(x)-x||^2 / ||x||^2 that holds for every nonzero x in R^dimension.
@@ -147,15 +121,3 @@ def measure_q(spec: QuantizerSpec, dimension: int) -> float:
         return 0.0
     s = spec.levels
     return min(dimension / (4 * s * s), math.sqrt(dimension) / s)
-
-
-def typical_q(spec: QuantizerSpec, dimension: int) -> float:
-    """Exact ratio maximized over a fixed probe set; never above measure_q.
-
-    Reported next to the certified constant to show how much of it typical
-    inputs use. The probe set is drawn from a fixed generator, so the value
-    depends only on the spec and the dimension.
-    """
-    if spec.is_identity:
-        return 0.0
-    return max(expected_error_ratio(spec, x) for x in _probe_directions(dimension, np.random.default_rng(0)))

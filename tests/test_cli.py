@@ -122,7 +122,9 @@ class TestRunExperiment:
         q = summary["config"]["q"]
         assert q[0] > q[1] > 0.0 and q[2] == 0.0
         assert q == [2 / 64, 2 / 256, 0.0]  # min(d/(4s^2), sqrt(d)/s) at d = 2
-        assert all(t <= v for t, v in zip(summary["config"]["q_typical"], q))
+        realized = summary["diagnostics"]
+        assert realized["q_realized_mean"][2] == realized["q_realized_max"][2] == 0.0
+        assert all(0.0 < m <= v for m, v in zip(realized["q_realized_mean"][:2], q))
 
     def test_missing_key_raises_config_error(self, tmp_path):
         cfg = quad_config(tmp_path)
@@ -463,6 +465,19 @@ class TestMainEntry:
             # run and theory name the same key
             ("run", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
             ("theory", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
+            ("compare-depths", {"compare": {"depths": [2]}}, "schedule.taus"),
+            # objective inputs optimize reads, named as run names them
+            ("optimize", {"latency": {}}, "finite positive deadline"),
+            ("optimize", {"alpha": 1.5}, "alpha"),
+            # compare-depths checks the base tree's quantizer entries as run does
+            ("compare-depths", {"quantizers": [{"kind": "bogus"}] * 3, "compare": {"depths": [3]}}, "bogus"),
+            (
+                "compare-depths",
+                {"quantizers": [{"kind": "stochastic_levels", "levels": 0}] * 3, "compare": {"depths": [3]}},
+                "levels >= 1",
+            ),
+            # a zero link rate, whatever form t_edge takes
+            ("run", {"latency": {"deadline": 1e9, "t_edge": [1.0, 2.0], "channel_gain": 1e-30}}, "link rate"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -473,6 +488,8 @@ class TestMainEntry:
             "lr_list", "seed_list", "dimension_list", "rounds_list", "kappa_list",
             "kappa_depth_key", "taus_depth_key", "compare_quantizers_length",
             "lr_zero_tiny_mlp", "lr_inf", "taus_length_run", "taus_length_theory",
+            "taus_length_compare", "optimize_no_deadline", "optimize_alpha",
+            "compare_quantizer_kind", "compare_quantizer_levels", "t_edge_list_zero_rate",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -617,7 +634,7 @@ class TestMainEntry:
         assert main(["measure-q", self.write(tmp_path, cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["q"][0] > out["q"][1] > 0.0 == out["q"][2]
-        assert all(t <= q for t, q in zip(out["q_typical"], out["q"]))
+        assert set(out) == {"dimension", "q", "levels"}
 
     def test_theory_honours_schedule_optimize(self, tmp_path, capsys):
         cfg = quad_config(

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hierfed import engine
 from hierfed.engine import (
     _BATCH_STREAM,
     DimensionMismatch,
@@ -14,8 +17,8 @@ from hierfed.engine import (
     run,
     run_fedavg_reference,
 )
-from hierfed.quantizer import identity, stochastic
-from hierfed.tasks import LocalDataset, QuadraticTask, _sample_batch, flat_global_loss
+from hierfed.quantizer import identity, measure_q, stochastic
+from hierfed.tasks import LocalDataset, QuadraticTask, _sample_batch, flat_global_loss, make_quadratic_task
 from hierfed.theory import TheoryParams, corollary1_condition
 from hierfed.topology import build_topology
 
@@ -419,3 +422,54 @@ class TestRunMetrics:
     def test_mean_grad_norm(self):
         m = RunMetrics(loss=[1, 2], grad_norm_sq=[4.0, 2.0])
         assert m.mean_grad_norm_sq() == 3.0
+
+
+class TestRealizedQ:
+    def setup_method(self):
+        self.topo = build_topology([12, 4, 2, 1], fanouts=[3, 2, 2])
+        self.task = make_quadratic_task(12, 5, np.random.default_rng(3), center_spread=0.5, batch_size=2)
+        self.specs = [stochastic(2), identity(), stochastic(6)]
+
+    def metrics(self, lr):
+        return run(self.task, self.topo, Schedule((3, 2, 2), 6), self.specs, lr, seed=11, w0=np.full(5, 1.5))
+
+    def test_matches_recorded_payloads(self, monkeypatch):
+        sent = {id(spec): [] for spec in self.specs}
+        quantize = engine.quantize
+
+        def recording(spec, x, rng):
+            payload = quantize(spec, x, rng)
+            sent[id(spec)].append((x.copy(), payload))
+            return payload
+
+        monkeypatch.setattr(engine, "quantize", recording)
+        m = self.metrics(0.05)
+        for hop, spec in enumerate(self.specs):
+            if spec.is_identity:
+                assert sent[id(spec)] == []
+                assert m.q_realized_mean[hop] == m.q_realized_max[hop] == 0.0
+                continue
+            ratios = [
+                np.sum((p - d) ** 2) / np.sum(d**2)
+                for delta, payload in sent[id(spec)]
+                for d, p in zip(delta, payload)
+                if np.any(d != 0.0)
+            ]
+            assert len(ratios) > 0
+            assert m.q_realized_mean[hop] == pytest.approx(np.mean(ratios), rel=1e-12)
+            assert m.q_realized_max[hop] == pytest.approx(max(ratios), rel=1e-12)
+            assert 0.0 < m.q_realized_mean[hop] <= measure_q(spec, self.task.dim)
+
+    def test_hop_without_nonzero_rows_reads_none(self):
+        # lr = 0: every delta is zero, so no quantized hop sends a nonzero row
+        m = self.metrics(0.0)
+        assert m.q_realized_mean == [None, 0.0, None]
+        assert m.q_realized_max == [None, 0.0, None]
+
+
+def test_readme_library_usage(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = re.search(r"## Library usage\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    mean, bound = capsys.readouterr().out.split(" <= ")
+    assert float(mean) <= float(bound)

@@ -269,6 +269,12 @@ class TestBruteForce:
         b = brute_force(spec, 6)
         assert a == b and a[0] == (1, 1)
 
+    @pytest.mark.parametrize("tau_max", [0, -3])
+    def test_tau_max_below_one(self, tau_max):
+        spec = make_spec(0.5, (4,), 8, (0.1, 0.1), [0.5], deadline=1e4)
+        with pytest.raises(ValueError, match="tau_max must be at least 1"):
+            brute_force(spec, tau_max)
+
     def test_search_too_large(self):
         spec = make_spec(0.5, (4, 2), 8, (0.1, 0.1, 0.1), [0.5, 0.5], deadline=1e4)
         with pytest.raises(SearchTooLarge):

@@ -12,7 +12,6 @@ from hierfed.quantizer import (
     measure_q,
     quantize,
     stochastic,
-    typical_q,
 )
 
 
@@ -195,15 +194,9 @@ class TestCertifiedBound:
         x = _probe_input(kind, dim, levels, seed)
         assert expected_error_ratio(spec, x) <= measure_q(spec, dim) + 1e-12
 
-    @settings(deadline=None)
-    @given(levels=st.integers(1, 64), dim=st.integers(1, 512))
-    def test_typical_within_certified(self, levels, dim):
-        assert typical_q(stochastic(levels), dim) <= measure_q(stochastic(levels), dim)
-
     def test_closed_form(self):
         assert measure_q(stochastic(8), 314) == 314 / 256  # p(1-p) <= 1/4 binds
         assert measure_q(stochastic(1), 400) == 20.0  # sqrt(d)/s binds
-        assert typical_q(identity(), 8) == 0.0
 
 
 class TestSpecValidation:
