@@ -163,7 +163,9 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
     kind = _require(tcfg, "kind", "task")
     n_dev = topo.n_devices
     pool = None
-    resolved = {"kind": kind, "init_scale": _scalar(tcfg, "init_scale", float, "task", 0.0)}
+    # zero init would leave the tiny MLP at a symmetric saddle
+    init_scale = _scalar(tcfg, "init_scale", float, "task", 0.1 if kind == "tiny_mlp" else 0.0)
+    resolved = {"kind": kind, "init_scale": init_scale}
     if kind == "quadratic":
         dim = _scalar(tcfg, "dimension", int, "task", 4)
         spd = _scalar(tcfg, "samples_per_device", int, "task", 8)
@@ -217,8 +219,6 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
                 n_classes=n_classes,
                 hidden=resolved["hidden"],
             )
-        if resolved["init_scale"] == 0.0 and kind == "tiny_mlp":
-            resolved["init_scale"] = 0.1  # zero init would be a symmetric saddle
     else:
         raise ConfigError(f"unknown task kind {kind!r}")
     return task, pool, resolved
@@ -265,17 +265,24 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         rounds=rounds,
     )
     t_de = latency_mod.compute_tde(params)  # rejects a zero link rate whatever the t_edge form
-    t_edge = lcfg.get("t_edge")
-    if t_edge is None:
-        t_edge = [10.0 * (k + 1) * t_de for k in range(n_layers - 1)]
-    elif isinstance(t_edge, dict):
-        t_edge = [m * t_de for m in _list(t_edge, "multipliers", float, "latency.t_edge")]
-    else:
-        t_edge = _list(lcfg, "t_edge", float, "latency")
+    t_edge = _t_edge_entries(lcfg, n_layers)
+    if isinstance(t_edge, dict):
+        t_edge = [m * t_de for m in t_edge["multipliers"]]
     if len(t_edge) < n_layers - 1:
         raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries")
     params.t_edge = [float(v) for v in t_edge[: max(0, n_layers - 1)]]
     return params
+
+
+def _t_edge_entries(lcfg: dict, n_layers: int) -> list[float] | dict:
+    """latency.t_edge as a list of seconds, or as {"multipliers": [...]} of
+    t_DE; absent, it is multipliers 10, 20, ... for the n_layers - 1 hops."""
+    t_edge = lcfg.get("t_edge")
+    if t_edge is None:
+        return {"multipliers": [10.0 * (k + 1) for k in range(n_layers - 1)]}
+    if isinstance(t_edge, dict):
+        return {"multipliers": _list(t_edge, "multipliers", float, "latency.t_edge")}
+    return _list(lcfg, "t_edge", float, "latency")
 
 
 @dataclass
@@ -441,7 +448,7 @@ def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.
     """run_experiment that also returns the run's in-memory metrics and the
     simulated time at the end of each round."""
     s = _setup(cfg)
-    per_round = latency_mod.round_latency(s.lat, s.sched)
+    per_round = latency_mod.round_latency(s.lat, s.sched.taus)
     metrics = engine.run(
         s.task,
         s.topo,
@@ -492,7 +499,9 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
 
     The compare block maps each depth to its distance factor kappa and its
     iteration counts; schedules are expected to share the same product so
-    that depth effects come from latency, not work per round.
+    that depth effects come from latency, not work per round. A depth-d tree
+    keeps the base tree's top hops: the last d quantizers and the last d - 1
+    inter-edge times, in whichever form latency.t_edge gives them.
     """
     ccfg = _section(cfg, "compare", required=False)
     if depths is None:
@@ -506,6 +515,8 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
 
     base = _build_topology(cfg)
     _build_quantizers(cfg, base.num_layers)  # the base tree's list, checked before it is sliced
+    base_lat = _section(cfg, "latency", required=False)
+    base_hops = _t_edge_entries(base_lat, base.num_layers)
     rows = []
     out_dir = Path(cfg.get("output_dir", "."))
     for depth in depths:
@@ -523,9 +534,12 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             sub_sched["taus"] = taus_map[depth]
             sub_sched.pop("optimize", None)
         sub["schedule"] = sub_sched
-        sub_lat = _section(cfg, "latency", required=False)
-        sub_lat["kappa"] = kappas.get(depth, 1.0)
-        sub["latency"] = sub_lat
+        keep = slice(base.num_layers - depth, base.num_layers - 1)  # t_edge[-0:] would keep all at depth 1
+        if isinstance(base_hops, dict):
+            t_edge = {"multipliers": base_hops["multipliers"][keep]}
+        else:
+            t_edge = base_hops[keep]
+        sub["latency"] = {**base_lat, "kappa": kappas.get(depth, 1.0), "t_edge": t_edge}
         qcfg = cfg.get("quantizers")
         if qcfg is not None:
             sub["quantizers"] = list(qcfg)[-depth:]  # keep the upper hops' settings

@@ -62,13 +62,6 @@ class Schedule:
         if self.global_rounds < 1:
             raise ValueError("global_rounds must be >= 1")
 
-    @property
-    def product(self) -> int:
-        out = 1
-        for x in self.taus:
-            out *= x
-        return out
-
 
 @dataclass
 class RunMetrics:

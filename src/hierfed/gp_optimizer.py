@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Schedule
 # compute_tcp and compute_tde stay module attributes for profilers that wrap them by name
-from .latency import LatencyParams, compute_tcp, compute_tde, deadline_ok, round_coefficients  # noqa: F401
+from .latency import compute_tcp, compute_tde  # noqa: F401
+from .latency import LatencyParams, deadline_ok, round_coefficients, round_latency
 from .theory import error_bracket
 
 
@@ -161,7 +161,8 @@ def _j_plus_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _g_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
     """Deadline posynomial G = (T / T_d) * round latency, as (exps, log coeffs):
-    term j is (T / T_d) c_j prod(tau[j:]) for the latency coefficients c_j."""
+    term j is (T / T_d) c_j prod(tau[j:]) for the latency coefficients c_j.
+    Only the barrier reads this log-space form; g_value decides feasibility."""
     lat = spec.latency
     n = spec.n_layers
     scale = lat.rounds / lat.deadline
@@ -185,7 +186,13 @@ def j_minus(spec: ObjectiveSpec, taus) -> float:
 
 
 def g_value(spec: ObjectiveSpec, taus) -> float:
-    return _posynomial(_g_terms(spec), taus)
+    """Deadline value G = round latency / (T_d / T), with the latency and the
+    per-round budget written as deadline_ok writes them. Division is
+    correctly rounded, so G <= 1 holds exactly when deadline_ok's slack is
+    >= 0, for every input (taus are read as floats, which hold the products
+    of any integer schedule exactly up to 2^53)."""
+    lat = spec.latency
+    return round_latency(lat, _check_taus(taus).tolist()) / (lat.deadline / lat.rounds)
 
 
 def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
@@ -377,7 +384,7 @@ def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
 def _round_with_repair(spec: ObjectiveSpec, taus: tuple[float, ...]) -> tuple[int, ...]:
     """Floor to integers, then greedily raise whichever coordinate improves the
     objective most while the deadline still holds."""
-    current = [max(1, int(math.floor(v + 1e-9))) for v in taus]
+    current = [max(1, math.floor(v)) for v in taus]
     while True:
         best_gain, best_idx = 0.0, None
         base = objective(spec, current)
@@ -400,8 +407,7 @@ def optimize(spec: ObjectiveSpec) -> OptimizerResult:
     n = spec.n_layers
     ones = np.ones(n)
     g_ones = g_value(spec, ones)
-    # the final check's own test: all-ones missing the deadline by roundoff is infeasible
-    if not deadline_ok(spec.latency, Schedule((1,) * n, spec.latency.rounds))[0]:
+    if g_ones > 1.0:
         raise NoFeasiblePoint(f"even tau = 1 misses the deadline (G = {g_ones:.6g})")
     taus: tuple[float, ...] = (1.0,) * n
     delta = max(j_plus(spec, ones) - j_minus(spec, ones), _TOLERANCE)
@@ -423,7 +429,7 @@ def optimize(spec: ObjectiveSpec) -> OptimizerResult:
         converged = True  # deadline leaves no room beyond all-ones
 
     taus_int = _round_with_repair(spec, taus)
-    ok, slack = deadline_ok(spec.latency, Schedule(taus_int, spec.latency.rounds))
+    ok, slack = deadline_ok(spec.latency, taus_int)
     if not ok:
         raise SubproblemFailure("rounded schedule misses the deadline")
     return OptimizerResult(
@@ -443,7 +449,9 @@ def brute_force(spec: ObjectiveSpec, tau_max: int) -> tuple[tuple[int, ...], flo
     """Exhaustive deadline-feasible minimum over {1..tau_max}^N.
 
     Ties keep the lexicographically smallest schedule. Independent of the
-    AGMA path, down to its own transcription of the bracket; used as its oracle.
+    AGMA path, down to its own transcription of the bracket; used as its
+    oracle. The grid is filtered by round_latency against T_d / T, the test
+    g_value and deadline_ok make, not by the barrier's log-space posynomial.
     """
     n = spec.n_layers
     if tau_max < 1:
@@ -451,9 +459,8 @@ def brute_force(spec: ObjectiveSpec, tau_max: int) -> tuple[tuple[int, ...], flo
     if tau_max**n > 10_000_000:
         raise SearchTooLarge(f"grid of {tau_max**n} points exceeds the cap")
     grid = np.array(list(itertools.product(range(1, tau_max + 1), repeat=n)), dtype=float)
-    y = np.log(grid)
-    g_exps, g_logc = _g_terms(spec)
-    feasible = np.exp(y @ g_exps.T + g_logc).sum(axis=1) <= 1.0
+    lat = spec.latency
+    feasible = round_latency(lat, grid.T) <= lat.deadline / lat.rounds
     if not np.any(feasible):
         raise NoFeasiblePoint("no grid point satisfies the deadline")
     values = np.full(len(grid), math.inf)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .engine import Schedule
-
 
 class NonPositiveRate(ValueError):
     """Link parameters give a non-positive transmission rate."""
@@ -108,18 +106,19 @@ def round_coefficients(params: LatencyParams, n_layers: int) -> list[float]:
     return [compute_tcp(params), compute_tde(params), *params.t_edge]
 
 
-def round_latency(params: LatencyParams, schedule: Schedule) -> float:
-    """Latency of one global round for the given iteration counts."""
-    taus = schedule.taus
+def round_latency(params: LatencyParams, taus) -> float:
+    """Latency of one global round for the iteration counts taus, one
+    positive number per layer, integer or continuous. Entries that are
+    equal-shape arrays give the latency of many schedules elementwise."""
     total = 0.0  # summed left to right, not with sum(), which compensates from Python 3.12 on
     for j, c in enumerate(round_coefficients(params, len(taus))):
         total += math.prod(taus[j:]) * c
     return total
 
 
-def deadline_ok(params: LatencyParams, schedule: Schedule) -> tuple[bool, float]:
-    """Whether one round fits in the per-round deadline T_d / T, plus the slack."""
+def deadline_ok(params: LatencyParams, taus) -> tuple[bool, float]:
+    """Whether one round at the iteration counts taus fits in the per-round
+    deadline T_d / T, plus the slack."""
     budget = params.deadline / params.rounds
-    slack = budget - round_latency(params, schedule)
+    slack = budget - round_latency(params, taus)
     return slack >= 0.0, slack
-

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import Topology
-
 
 class BatchTooLarge(ValueError):
     """Requested mini-batch exceeds the device's dataset."""
@@ -329,30 +327,6 @@ def flat_global_loss(task: Task, weighted: bool = False):
         return sum(d * l for d, l in zip(sizes, losses)) / sum(sizes)
 
     return value
-
-
-def global_loss(task: Task, topology: Topology, w: np.ndarray, weighted: bool = False):
-    """Global loss computed bottom-up through the hierarchy.
-
-    Unweighted mode averages each node's children by device counts; weighted
-    mode uses total dataset sizes instead. Both agree with the flat average
-    over devices (see tests), the hierarchy only reorders the reduction.
-    """
-    if topology.n_devices != task.n_devices:
-        raise ValueError("topology and task disagree on the device count")
-    sizes = task.dataset_sizes()
-    values = [task.local_loss(i, w) for i in range(task.n_devices)]
-    mass = [float(s) for s in sizes] if weighted else [1.0] * task.n_devices
-    for layer in range(1, topology.num_layers + 1):
-        new_values, new_mass = [], []
-        for node in range(topology.layer_sizes[layer]):
-            kids = topology.children_of(layer, node)
-            m = sum(mass[c] for c in kids)
-            v = sum(mass[c] * values[c] for c in kids) / m
-            new_values.append(v)
-            new_mass.append(m)
-        values, mass = new_values, new_mass
-    return values[0]
 
 
 _CASE_CLASSES = {1: 2, 2: 6, 3: None}  # None: all classes

@@ -376,7 +376,7 @@ def test_criterion_08_latency_arithmetic():
     t_cp, t_de = compute_tcp(params), compute_tde(params)
     for taus in [(1, 1), (3, 2), (10, 4)]:
         expected = taus[0] * taus[1] * t_cp + taus[1] * t_de + 7.5
-        assert round_latency(params, Schedule(taus, 1)) == expected
+        assert round_latency(params, taus) == expected
     _report(8, "reference constants give t_CP = 20 s and the exact 2-layer expansion", started)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hierfed import engine
 from hierfed.cli import (
     ConfigError,
+    _setup,
     compare_depths,
     load_config,
     main,
@@ -172,6 +173,16 @@ class TestRunExperiment:
         out = json.loads(capsys.readouterr().out)
         assert [out[k] for k in ("lipschitz", "sigma2", "gap0")] == [3.0, 2.0, 1.5]
         assert out["sources"] == {"lipschitz": "config", "sigma2": "config", "gap0": "config"}
+
+    @pytest.mark.parametrize("given, resolved", [(None, 0.1), (0.0, 0.0), (0.5, 0.5)])
+    def test_tiny_mlp_init_scale_default_and_explicit(self, tmp_path, given, resolved):
+        task = {"kind": "tiny_mlp", "pool": {"synthetic": {"samples": 600, "classes": 3, "dim": 2}},
+                "size_range": [20, 30], "hidden": 2}
+        if given is not None:
+            task["init_scale"] = given
+        s = _setup(quad_config(tmp_path, task=task))
+        assert s.task_resolved["init_scale"] == resolved
+        assert np.any(s.w0 != 0.0) == (resolved != 0.0)
 
     def test_logistic_partition_case(self, tmp_path):
         cfg = quad_config(
@@ -371,6 +382,30 @@ class TestCompareDepths:
         )
         summary = run_experiment(plain)
         assert rows[0]["final_loss"] == pytest.approx(summary["final_loss"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "t_edge", [[1.0, 2.0, 3.0], {"multipliers": [1.0, 2.0, 3.0]}, None], ids=["seconds", "multipliers", "default"]
+    )
+    def test_reduced_tree_keeps_the_top_inter_edge_times(self, tmp_path, t_edge):
+        # a depth-d tree keeps the base tree's top d - 1 hops, as it keeps their quantizers
+        latency = {"deadline": 1e9} if t_edge is None else {"deadline": 1e9, "t_edge": t_edge}
+        cfg = quad_config(
+            tmp_path,
+            topology={"layer_sizes": [16, 8, 4, 2, 1], "fanouts": [2, 2, 2, 2]},
+            schedule={"taus": [1, 1, 1, 1], "rounds": 1},
+            latency=latency,
+            compare={"depths": [4, 3, 2, 1], "taus": {3: [1, 1, 1], 2: [1, 1], 1: [1]}},
+        )
+        compare_depths(cfg)
+        echo = {
+            d: json.loads((tmp_path / "out" / f"depth_{d}" / "summary.json").read_text())["config"]["latency"]["t_edge"]
+            for d in (4, 3, 2, 1)
+        }
+        assert len(echo[4]) == 3
+        for d in (3, 2, 1):
+            assert echo[d] == echo[4][4 - d :], d
+        if t_edge == [1.0, 2.0, 3.0]:
+            assert echo[2] == [3.0]
 
 
 class TestFinalMetrics:
@@ -603,6 +638,26 @@ class TestMainEntry:
         assert main(["optimize", self.write(tmp_path, cfg), "--oracle", "--tau-max", "12"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["oracle_gap"] <= 1.02
+
+    def test_optimize_rounds_to_a_schedule_the_latency_model_accepts(self, tmp_path, capsys):
+        # the continuous optimum (1, 2 - 9e-11) sits on the deadline, which
+        # (1, 2) misses by one ulp; a floor nudged up by 1e-9 returned (1, 2),
+        # the final deadline check rejected it, and optimize exited 1
+        cfg = quad_config(
+            tmp_path,
+            topology={"layer_sizes": [60, 30, 1], "fanouts": [2, 30]},
+            schedule={"rounds": 1},
+            alpha=0.7025204517369021,
+            latency={
+                "cycles_per_sample": 64369236.20565389, "frequencies": [2e9], "batch_size": 4,
+                "model_bits": 1e5, "bandwidth": 1e6, "tx_power": 0.5, "channel_gain": 1e-8,
+                "noise_power": 1e-10, "t_edge": [1.4186580411981915], "deadline": 1.7113932728985832,
+            },
+        )
+        assert main(["optimize", self.write(tmp_path, cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["taus_integer"] == [2, 1]
+        assert out["slack"] == pytest.approx(0.0176, abs=1e-4)
 
     @pytest.mark.parametrize("tau_max", ["0", "-3"])
     def test_optimize_tau_max_below_one_exit_two(self, tmp_path, capsys, tau_max):

@@ -53,9 +53,6 @@ FOUR_DEV = build_topology([4, 2, 1], parents=[[0, 0, 1, 1], [0, 0]])
 
 
 class TestSchedule:
-    def test_product(self):
-        assert Schedule((2, 3, 4), 1).product == 24
-
     def test_rejects_zero_tau(self):
         with pytest.raises(ValueError):
             Schedule((2, 0), 1)

@@ -21,7 +21,6 @@ from hierfed.gp_optimizer import (
     objective,
     optimize,
 )
-from hierfed.engine import Schedule
 from hierfed.latency import LatencyParams, round_latency
 
 
@@ -187,7 +186,7 @@ class TestOptimize:
         for _ in range(20):
             spec = random_spec(rng)
             lat = spec.latency
-            ones = round_latency(lat, Schedule((1,) * spec.n_layers, lat.rounds))
+            ones = round_latency(lat, (1,) * spec.n_layers)
             lat.deadline = ones * lat.rounds * (1 - 1e-15)
             with pytest.raises(NoFeasiblePoint):
                 optimize(spec)

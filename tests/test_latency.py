@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierfed.cli import _setup
-from hierfed.engine import Schedule
-from hierfed.gp_optimizer import ObjectiveSpec, g_value
+from hierfed.gp_optimizer import ObjectiveSpec, _g_terms, _lse_value, g_value
 from hierfed.latency import (
     LatencyParams,
     LengthMismatch,
@@ -94,16 +94,16 @@ class TestRoundLatency:
         t_cp, t_de = compute_tcp(p), compute_tde(p)
         for taus in [(1, 1), (4, 2), (3, 5)]:
             expected = taus[0] * taus[1] * t_cp + taus[1] * t_de + 3.0
-            assert round_latency(p, Schedule(taus, 1)) == expected
+            assert round_latency(p, taus) == expected
 
     def test_three_layer_all_ones(self):
         p = make_params(t_edge=[1.0, 2.0])
-        total = round_latency(p, Schedule((1, 1, 1), 1))
+        total = round_latency(p, (1, 1, 1))
         assert total == pytest.approx(compute_tcp(p) + compute_tde(p) + 1.0 + 2.0, rel=1e-15)
 
     def test_single_layer(self):
         p = make_params(t_edge=[])
-        assert round_latency(p, Schedule((5,), 1)) == pytest.approx(
+        assert round_latency(p, (5,)) == pytest.approx(
             5 * compute_tcp(p) + compute_tde(p), rel=1e-15
         )
 
@@ -111,31 +111,29 @@ class TestRoundLatency:
         t_de = compute_tde(make_params())
         p = make_params(t_edge=[10 * t_de, 20 * t_de, 30 * t_de, 40 * t_de, 50 * t_de])
         taus = (10, 2, 2, 2, 2, 2)
-        got = round_latency(p, Schedule(taus, 1))
+        got = round_latency(p, taus)
         assert got == pytest.approx(naive_round_latency(p, taus), rel=1e-14)
 
     def test_random_schedules_against_naive_oracle(self):
-        import numpy as np
-
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 6))
             p = make_params(t_edge=[float(v) for v in rng.uniform(0.1, 5.0, size=max(0, n - 1))])
             taus = tuple(int(v) for v in rng.integers(1, 8, size=n))
-            assert round_latency(p, Schedule(taus, 1)) == pytest.approx(
+            assert round_latency(p, taus) == pytest.approx(
                 naive_round_latency(p, taus), rel=1e-13
             )
 
     def test_strictly_increasing_in_taus(self):
         p = make_params(t_edge=[3.0])
-        base = round_latency(p, Schedule((2, 2), 1))
-        assert round_latency(p, Schedule((3, 2), 1)) > base
-        assert round_latency(p, Schedule((2, 3), 1)) > base
+        base = round_latency(p, (2, 2))
+        assert round_latency(p, (3, 2)) > base
+        assert round_latency(p, (2, 3)) > base
 
     def test_length_mismatch(self):
         p = make_params(t_edge=[1.0])
         with pytest.raises(LengthMismatch):
-            round_latency(p, Schedule((1, 1, 1), 1))
+            round_latency(p, (1, 1, 1))
 
 
 @st.composite
@@ -154,10 +152,26 @@ class TestRoundLatencyProperties:
         taus, t_edge = case
         n = len(taus)
         p = make_params(t_edge=t_edge, deadline=deadline, rounds=rounds)
-        got = round_latency(p, Schedule(taus, 1))
+        got = round_latency(p, taus)
         assert got == naive_round_latency(p, taus)
         spec = ObjectiveSpec(alpha=0.5, counts=(1,) * (n - 1), n_tot=1, q=(0.0,) * n, latency=p)
-        assert g_value(spec, taus) * deadline / rounds == pytest.approx(got, rel=1e-12)
+        # the barrier's log-space transcription of G = (T / T_d) * round latency
+        barrier_g = math.exp(_lse_value(*_g_terms(spec), np.log(taus)))
+        assert barrier_g * deadline / rounds == pytest.approx(got, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedules(), st.integers(1, 50))
+    def test_g_value_decides_as_deadline_ok_at_the_boundary(self, case, rounds):
+        taus, t_edge = case
+        n = len(taus)
+        p = make_params(t_edge=t_edge, rounds=rounds)
+        spec = ObjectiveSpec(alpha=0.5, counts=(1,) * (n - 1), n_tot=1, q=(0.0,) * n, latency=p)
+        exact = rounds * round_latency(p, taus)
+        for direction in (-math.inf, math.inf):
+            p.deadline = exact
+            for _ in range(5):  # the deadline T * latency and 1..4 ulps to either side
+                assert (g_value(spec, taus) <= 1.0) == deadline_ok(p, taus)[0], p.deadline
+                p.deadline = math.nextafter(p.deadline, direction)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_length_mismatch_for_every_depth(self, n):
@@ -166,7 +180,7 @@ class TestRoundLatencyProperties:
                 continue
             p = make_params(t_edge=[1.0] * length)
             with pytest.raises(LengthMismatch):
-                round_latency(p, Schedule((2,) * n, 1))
+                round_latency(p, (2,) * n)
             spec = ObjectiveSpec(alpha=0.5, counts=(1,) * (n - 1), n_tot=1, q=(0.0,) * n, latency=p)
             with pytest.raises(LengthMismatch):
                 g_value(spec, (2,) * n)
@@ -175,17 +189,17 @@ class TestRoundLatencyProperties:
 class TestDeadline:
     def test_exact_boundary(self):
         p = make_params(t_edge=[3.0])
-        sched = Schedule((2, 2), 1)
-        lat = round_latency(p, sched)
+        taus = (2, 2)
+        lat = round_latency(p, taus)
         p.deadline, p.rounds = lat * 10, 10
-        ok, slack = deadline_ok(p, sched)
+        ok, slack = deadline_ok(p, taus)
         assert ok and slack == pytest.approx(0.0, abs=1e-12)
 
     def test_below_boundary(self):
         p = make_params(t_edge=[3.0])
-        sched = Schedule((2, 2), 1)
-        p.deadline, p.rounds = round_latency(p, sched) * 10 * 0.99, 10
-        ok, slack = deadline_ok(p, sched)
+        taus = (2, 2)
+        p.deadline, p.rounds = round_latency(p, taus) * 10 * 0.99, 10
+        ok, slack = deadline_ok(p, taus)
         assert not ok and slack < 0
 
 

@@ -14,7 +14,6 @@ from hierfed.tasks import (
     QuadraticTask,
     TinyMLPTask,
     flat_global_loss,
-    global_loss,
     make_blob_pool,
     make_quadratic_task,
     partition,
@@ -23,8 +22,6 @@ from hierfed.engine import Schedule, run
 from hierfed.quantizer import stochastic
 from hierfed.tasks import _sample_batch, _sample_batches
 from hierfed.topology import build_topology
-
-FIG1 = build_topology([11, 4, 2, 1], parents=[[0, 0, 0, 1, 2, 2, 3, 3, 3, 3, 3], [0, 0, 1, 1], [0, 0]])
 
 
 def estimate_sigma2(task, w0, rng, trials):
@@ -423,17 +420,16 @@ class TestDerivedGradients:
 class TestGlobalLoss:
     def test_two_devices_unweighted(self):
         task = point_task([[0.0], [4.0]])
-        topo = build_topology([2, 1, 1], parents=[[0, 0], [0]])
         w = np.array([0.0])
         # F_1 = 0, F_2 = 8 -> mean 4; with centers 0/4: losses 0 and 8
-        assert global_loss(task, topo, w) == pytest.approx(4.0)
+        assert flat_global_loss(task)(w) == pytest.approx(4.0)
 
     def test_constant_losses_any_weighting(self):
         task = point_task([[1.5]] * 11)
         w = np.array([100.0])
         c = task.local_loss(0, w)
-        assert global_loss(task, FIG1, w) == pytest.approx(c)
-        assert global_loss(task, FIG1, w, weighted=True) == pytest.approx(c)
+        assert flat_global_loss(task)(w) == pytest.approx(c)
+        assert flat_global_loss(task, weighted=True)(w) == pytest.approx(c)
 
     def test_weighted_example(self):
         # D = (1, 3) samples, local losses 0 and 4 at w = 2 -> weighted mean 3
@@ -442,23 +438,11 @@ class TestGlobalLoss:
             LocalDataset(features=np.full((3, 1), 2.0 - math.sqrt(8.0))),
         ]
         task = QuadraticTask(ds, batch_size=1)
-        topo = build_topology([2, 1, 1], parents=[[0, 0], [0]])
         w = np.array([2.0])
         assert task.local_loss(0, w) == pytest.approx(0.0)
         assert task.local_loss(1, w) == pytest.approx(4.0)
-        assert global_loss(task, topo, w, weighted=True) == pytest.approx(3.0)
-        assert global_loss(task, topo, w, weighted=False) == pytest.approx(2.0)
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_hierarchical_equals_flat(self, weighted):
-        rng = np.random.default_rng(14)
-        ds = [LocalDataset(features=rng.normal(size=(int(rng.integers(1, 6)), 2))) for _ in range(11)]
-        task = QuadraticTask(ds, batch_size=1)
-        flat = flat_global_loss(task, weighted=weighted)
-        for _ in range(10):
-            w = rng.normal(size=2)
-            h = global_loss(task, FIG1, w, weighted=weighted)
-            assert abs(h - flat(w)) <= 1e-12 * max(1.0, abs(h))
+        assert flat_global_loss(task, weighted=True)(w) == pytest.approx(3.0)
+        assert flat_global_loss(task, weighted=False)(w) == pytest.approx(2.0)
 
 
 class TestPartition:
