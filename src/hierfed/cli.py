@@ -265,24 +265,18 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         rounds=rounds,
     )
     t_de = latency_mod.compute_tde(params)  # rejects a zero link rate whatever the t_edge form
-    t_edge = _t_edge_entries(lcfg, n_layers)
-    if isinstance(t_edge, dict):
-        t_edge = [m * t_de for m in t_edge["multipliers"]]
+    # seconds, or multipliers of t_DE: given, or 10, 20, ... for the n_layers - 1 hops
+    t_edge = lcfg.get("t_edge")
+    if t_edge is None:
+        t_edge = [10.0 * (k + 1) * t_de for k in range(n_layers - 1)]
+    elif isinstance(t_edge, dict):
+        t_edge = [m * t_de for m in _list(t_edge, "multipliers", float, "latency.t_edge")]
+    else:
+        t_edge = _list(lcfg, "t_edge", float, "latency")
     if len(t_edge) < n_layers - 1:
         raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries")
     params.t_edge = [float(v) for v in t_edge[: max(0, n_layers - 1)]]
     return params
-
-
-def _t_edge_entries(lcfg: dict, n_layers: int) -> list[float] | dict:
-    """latency.t_edge as a list of seconds, or as {"multipliers": [...]} of
-    t_DE; absent, it is multipliers 10, 20, ... for the n_layers - 1 hops."""
-    t_edge = lcfg.get("t_edge")
-    if t_edge is None:
-        return {"multipliers": [10.0 * (k + 1) for k in range(n_layers - 1)]}
-    if isinstance(t_edge, dict):
-        return {"multipliers": _list(t_edge, "multipliers", float, "latency.t_edge")}
-    return _list(lcfg, "t_edge", float, "latency")
 
 
 @dataclass
@@ -501,7 +495,9 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     iteration counts; schedules are expected to share the same product so
     that depth effects come from latency, not work per round. A depth-d tree
     keeps the base tree's top hops: the last d quantizers and the last d - 1
-    inter-edge times, in whichever form latency.t_edge gives them.
+    inter-edge times. Those times are the base config's in seconds, with
+    multipliers resolved against its t_DE at latency.kappa, so a depth's
+    kappa stretches only its device hop.
     """
     ccfg = _section(cfg, "compare", required=False)
     if depths is None:
@@ -514,9 +510,8 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
         taus_map = {int(k): _list(taus_cfg, k, int, "compare.taus") for k in taus_cfg}
 
     base = _build_topology(cfg)
-    _build_quantizers(cfg, base.num_layers)  # the base tree's list, checked before it is sliced
     base_lat = _section(cfg, "latency", required=False)
-    base_hops = _t_edge_entries(base_lat, base.num_layers)
+    base_hops = _setup(cfg, "optimize").lat.t_edge  # also checks the base tree's quantizers
     rows = []
     out_dir = Path(cfg.get("output_dir", "."))
     for depth in depths:
@@ -535,11 +530,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
             sub_sched.pop("optimize", None)
         sub["schedule"] = sub_sched
         keep = slice(base.num_layers - depth, base.num_layers - 1)  # t_edge[-0:] would keep all at depth 1
-        if isinstance(base_hops, dict):
-            t_edge = {"multipliers": base_hops["multipliers"][keep]}
-        else:
-            t_edge = base_hops[keep]
-        sub["latency"] = {**base_lat, "kappa": kappas.get(depth, 1.0), "t_edge": t_edge}
+        sub["latency"] = {**base_lat, "kappa": kappas.get(depth, 1.0), "t_edge": base_hops[keep]}
         qcfg = cfg.get("quantizers")
         if qcfg is not None:
             sub["quantizers"] = list(qcfg)[-depth:]  # keep the upper hops' settings

@@ -12,8 +12,9 @@ Draws come from addressable streams keyed by the master seed: batches per
 (round, device), whatever the tree shape, so nested and flat runs with coupled
 seeds sample identical batches; quantizer dither per (round, hop), one call
 per hop on its whole delta matrix. A device's batches for a round are drawn
-as one block at the round's start, and row k of it equals the k-th of the
-per-step draws `run_fedavg_reference` makes from the same stream. With
+as one block at the round's start, and the k-th item of its stream stands for
+the k-th of the per-step draws `run_fedavg_reference` makes from the same
+stream: that draw's index row, or what the task reduces it to. With
 exact-rational models (numpy object arrays of Fraction) no step rounds, which
 is how the flat-averaging collapse is checked bit-for-bit. Each quantized hop
 also records the error ratio of every nonzero row it sends; that draws
@@ -216,7 +217,7 @@ def run(
                     top += 1
         except NonFiniteInput as exc:
             raise Diverged(f"round {t}: {exc}") from exc
-        del batches  # spent: free the round's index blocks before the next round draws its own
+        del batches  # spent: free the round's batch blocks before the next round draws its own
         w = w + acc[n_layers][0]
         # object (Fraction) models are exact and cannot overflow
         if not exact and not np.all(np.isfinite(w)):

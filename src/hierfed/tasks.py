@@ -73,7 +73,9 @@ class Task:
 
     A task supplies `local_loss` and `batch_gradient`; the full, stochastic
     and global gradients are derived from `batch_gradient` here, the
-    stochastic one from a device's batch stream (`sample_batches`).
+    stochastic one from a device's batch stream (`sample_batches`), whose
+    items `step_gradient` turns into gradients. Here an item is a row of
+    batch indices; a task may pre-reduce its stream by overriding both.
     """
 
     kind: str
@@ -111,12 +113,17 @@ class Task:
 
     def sample_batches(self, device: int, rng: np.random.Generator, steps: int) -> Iterator[np.ndarray]:
         """The device's batch stream for `steps` steps: uniform mini-batches
-        drawn as one block, equal to `steps` successive per-step draws."""
+        drawn as one block, equal to `steps` successive per-step draws; each
+        item is one mini-batch's index row."""
         return iter(_sample_batches(self.datasets[device].size, self.batch_size, rng, steps))
 
-    def stochastic_gradient(self, device: int, w: np.ndarray, batches: Iterator[np.ndarray]) -> np.ndarray:
+    def step_gradient(self, device: int, w: np.ndarray, batch) -> np.ndarray:
+        """Gradient of the mean loss over one item of the batch stream."""
+        return self.batch_gradient(device, w, batch)
+
+    def stochastic_gradient(self, device: int, w: np.ndarray, batches: Iterator) -> np.ndarray:
         """Gradient of the mean loss over the next mini-batch of the stream."""
-        return self.batch_gradient(device, w, next(batches))
+        return self.step_gradient(device, w, next(batches))
 
     def global_gradient(self, w: np.ndarray, weighted: bool = False) -> np.ndarray:
         """Full-batch gradient of the global objective: the device average or,
@@ -137,17 +144,31 @@ class QuadraticTask(Task):
     theory_source = "exact"
 
     def device_mean(self, device: int):
-        feats = self.datasets[device].features
-        return feats.sum(axis=0) / len(feats)
+        return self._batch_means(device, slice(None))
 
     def local_loss(self, device: int, w: np.ndarray):
         feats = self.datasets[device].features
         diff = feats - w[None, :]
         return (diff * diff).sum() / len(feats) / 2
 
-    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
+    def _batch_means(self, device: int, idx: np.ndarray | slice) -> np.ndarray:
+        """Mean target over the rows `idx`, or per row of a 2-D index block:
+        one numpy reduction for both keeps them bit-identical, which a loop
+        over the batch would not (numpy sums a one-feature batch pairwise)."""
         batch = self.datasets[device].features[idx]
-        return w - batch.sum(axis=0) / len(batch)
+        return batch.sum(axis=-2) / batch.shape[-2]
+
+    def batch_gradient(self, device: int, w: np.ndarray, idx: np.ndarray | slice) -> np.ndarray:
+        return w - self._batch_means(device, idx)
+
+    def sample_batches(self, device: int, rng: np.random.Generator, steps: int) -> Iterator[np.ndarray]:
+        """The base stream pre-reduced: each item is its mini-batch's mean
+        target, since the gradient w - mean does not otherwise read the batch."""
+        idx = _sample_batches(self.datasets[device].size, self.batch_size, rng, steps)
+        return iter(self._batch_means(device, idx))
+
+    def step_gradient(self, device: int, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        return w - batch  # the stream item is the batch's mean target
 
     def theory_constants(self, w0: np.ndarray, weighted: bool = False) -> dict:
         """L = 1 (the Hessian is I), the noise bound below and F(w0) - F(optimum),
@@ -233,8 +254,16 @@ class LogisticTask(Task):
         Curtis & Nocedal, SIAM Rev. 2018): each sample's loss Hessian is at
         most x x^T / 4, so L = R^2/4; each per-sample gradient is shorter
         than ||x||, so a batch gradient is within 2R of the global one and
-        sigma2 = 4R^2; the loss is >= 0, so the gap is at most F(w0)."""
+        sigma2 = 4R^2; the loss is >= 0, so the gap is at most F(w0).
+
+        R^2 is rounded up so that both stay bounds: over d features ||x||^2
+        rounds d squares and d - 1 sums by a relative u = 2^-53 each, and a
+        subnormal square by an absolute 2^-1075; R^2 / 4 rounds by 2^-1075
+        more when subnormal, and 4 R^2 is exact. So the computed max ||x||^2
+        times 1 + 2 d u, plus (d + 2) 2^-1074 >= (d + 4) 2^-1075, covers both.
+        """
         r2 = max(float((ds.features**2).sum(axis=1).max()) for ds in self.datasets)
+        r2 = r2 * (1.0 + 2 * self.dim * 2.0**-53) + (self.dim + 2) * 2.0**-1074
         gap0 = float(flat_global_loss(self, weighted)(w0))
         return {"lipschitz": r2 / 4, "sigma2": 4 * r2, "gap0": gap0}
 

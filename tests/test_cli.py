@@ -19,6 +19,7 @@ from hierfed.cli import (
     main,
     run_experiment,
 )
+from hierfed.latency import LatencyParams, compute_tde
 
 
 def quad_config(tmp_path, **overrides):
@@ -406,6 +407,31 @@ class TestCompareDepths:
             assert echo[d] == echo[4][4 - d :], d
         if t_edge == [1.0, 2.0, 3.0]:
             assert echo[2] == [3.0]
+
+    @pytest.mark.parametrize("t_edge", [{"multipliers": [1.0, 2.0, 3.0]}, None], ids=["multipliers", "default"])
+    def test_kappa_stretches_only_the_device_hop(self, tmp_path, t_edge):
+        # multipliers are of the base config's t_DE, at its own latency.kappa
+        latency = {"deadline": 1e9, "kappa": 2.0}
+        if t_edge is not None:
+            latency["t_edge"] = t_edge
+        kappas = {4: 1.0, 3: 10.0, 2: 80.0}
+        cfg = quad_config(
+            tmp_path,
+            topology={"layer_sizes": [16, 8, 4, 2, 1], "fanouts": [2, 2, 2, 2]},
+            schedule={"taus": [1, 1, 1, 1], "rounds": 1},
+            latency=latency,
+            compare={"depths": [4, 3, 2], "kappas": kappas, "taus": {3: [1, 1, 1], 2: [1, 1]}},
+        )
+        compare_depths(cfg)
+        echo = {
+            d: json.loads((tmp_path / "out" / f"depth_{d}" / "summary.json").read_text())["config"]["latency"]
+            for d in (4, 3, 2)
+        }
+        multipliers = [1.0, 2.0, 3.0] if t_edge else [10.0, 20.0, 30.0]
+        t_de = compute_tde(LatencyParams(**{**echo[4], "kappa": 2.0}))
+        for d in (4, 3, 2):
+            assert echo[d]["kappa"] == kappas[d]
+            assert echo[d]["t_edge"] == [m * t_de for m in multipliers][4 - d :], d
 
 
 class TestFinalMetrics:

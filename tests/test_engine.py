@@ -18,7 +18,7 @@ from hierfed.engine import (
     run_fedavg_reference,
 )
 from hierfed.quantizer import identity, measure_q, stochastic
-from hierfed.tasks import LocalDataset, QuadraticTask, _sample_batch, flat_global_loss, make_quadratic_task
+from hierfed.tasks import LocalDataset, QuadraticTask, Task, _sample_batch, flat_global_loss, make_quadratic_task
 from hierfed.theory import TheoryParams, corollary1_condition
 from hierfed.topology import build_topology
 
@@ -137,7 +137,7 @@ class TestRunBasics:
 
 
 class CountingTask(QuadraticTask):
-    """Logs (device, batch stream, index row the call consumes) per gradient call."""
+    """Logs (device, batch stream, stream item the call consumes) per gradient call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -174,11 +174,14 @@ class TestDeviceStepContract:
             for i in range(n_dev):
                 mine = block[i::n_dev]
                 assert len({id(g) for _, g, _ in mine}) == 1
-                # the round's rows are the successive per-step draws of a fresh stream
+                # the round's items are the batch means of the successive
+                # per-step draws of a fresh stream, bit for bit
                 fresh = _stream(seed, _BATCH_STREAM, t, i)
-                for _, _, row in mine:
-                    assert np.array_equal(row, _sample_batch(task.datasets[i].size, task.batch_size, fresh))
-                assert next(mine[0][1], None) is None  # the round's stream holds prod(taus) rows
+                feats = task.datasets[i].features
+                for _, _, item in mine:
+                    idx = _sample_batch(len(feats), task.batch_size, fresh)
+                    assert np.array_equal(item, feats[idx].sum(axis=0) / len(idx))
+                assert next(mine[0][1], None) is None  # the round's stream holds prod(taus) items
         assert len({id(g) for _, g, _ in task.calls}) == rounds * n_dev
 
     def test_depth_does_not_change_the_draws(self):
@@ -192,10 +195,54 @@ class TestDeviceStepContract:
             seed=63)
         run(flat, flat_topo, Schedule((12,), 2), [identity()], 0.05, seed=63)
         for i in range(n_dev):
-            deep_rows = [r for d, _, r in deep.calls if d == i]
-            flat_rows = [r for d, _, r in flat.calls if d == i]
-            assert len(deep_rows) == len(flat_rows) == 24
-            assert all(np.array_equal(a, b) for a, b in zip(deep_rows, flat_rows))
+            deep_items = [m for d, _, m in deep.calls if d == i]
+            flat_items = [m for d, _, m in flat.calls if d == i]
+            assert len(deep_items) == len(flat_items) == 24
+            assert all(np.array_equal(a, b) for a, b in zip(deep_items, flat_items))
+
+
+class IndexRowTask(QuadraticTask):
+    """QuadraticTask on the base `Task` stream: index rows, each reduced to
+    its gradient by `batch_gradient` at the step that consumes it."""
+
+    sample_batches = Task.sample_batches
+    step_gradient = Task.step_gradient
+
+
+def random_ragged(rng, depth):
+    """A depth-`depth` tree: every upper node gets one child, up to three
+    more land anywhere, and each layer is shuffled."""
+    sizes, parents = [1], []
+    for _ in range(depth):
+        up = sizes[0]
+        layer = list(range(up)) + [int(p) for p in rng.integers(0, up, size=int(rng.integers(0, 4)))]
+        rng.shuffle(layer)
+        parents.insert(0, layer)
+        sizes.insert(0, len(layer))
+    return build_topology(sizes, parents=parents)
+
+
+class TestPreReducedStream:
+    """Batch means drawn once per round run the same trajectory, bit for bit,
+    as index rows reduced at every step."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dim, batch", [(3, 3), (1, 12)])  # dim 1, batch >= 8: numpy sums pairwise
+    def test_same_run_as_index_rows(self, weighted, dim, batch):
+        rng = np.random.default_rng(70 + dim)
+        topo = random_ragged(rng, 4)
+        sizes = rng.integers(batch, 2 * batch + 1, size=topo.n_devices)  # ragged: weighting matters
+        datasets = [LocalDataset(features=rng.normal(size=(int(n), dim))) for n in sizes]
+        quants = [stochastic(s) for s in (2, 4, 6, 8)]
+        sched, w0 = Schedule((3, 2, 1, 2), 3), rng.normal(size=dim)
+        # at lr 0.5 a last-bit change in one batch mean survives into the model
+        ours = run(QuadraticTask(datasets, batch), topo, sched, quants, 0.5, seed=71, weighted=weighted, w0=w0)
+        rows = run(IndexRowTask(datasets, batch), topo, sched, quants, 0.5, seed=71, weighted=weighted, w0=w0)
+        assert ours.final_model.tobytes() == rows.final_model.tobytes()
+        assert ours.loss == rows.loss and ours.grad_norm_sq == rows.grad_norm_sq
+        assert ours.final_loss == rows.final_loss and ours.final_grad_norm_sq == rows.final_grad_norm_sq
+        assert ours.q_realized_mean == rows.q_realized_mean and ours.q_realized_max == rows.q_realized_max
+        assert None not in ours.q_realized_max  # every hop sent a nonzero delta
 
 
 class TestCollapse:

@@ -183,6 +183,73 @@ class TestQuadratic:
         assert set(task.theory_constants(np.zeros(2))) == {"lipschitz", "sigma2", "gap0"}
 
 
+def assert_same_bits(a, b):
+    """Equal dtype and values; floats compared by their bytes, so -0.0 != 0.0."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert all(type(x) is type(y) and x == y for x, y in zip(a, b))
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_stream_matches_kernel(task, w, steps, seed):
+    """Each device's stream gives, call by call, the per-step kernel's
+    gradient on the same draw: `batch_gradient` on a `_sample_batch` row."""
+    for i, ds in enumerate(task.datasets):
+        batches = task.sample_batches(i, np.random.default_rng(seed), steps)
+        step_rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            idx = _sample_batch(ds.size, task.batch_size, step_rng)
+            assert_same_bits(task.stochastic_gradient(i, w, batches), task.batch_gradient(i, w, idx))
+        assert next(batches, None) is None
+
+
+class TestQuadraticBatchStream:
+    """The pre-reduced stream (one batch mean per step) equals the per-step kernel bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_datasets(self, dim, sizes, batch, steps, seed):
+        rng = np.random.default_rng(seed)
+        batch = min(batch, *sizes)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        task = QuadraticTask([LocalDataset(features=scale * rng.normal(size=(s, dim))) for s in sizes], batch)
+        assert_stream_matches_kernel(task, rng.normal(size=dim), steps, seed)
+
+    @pytest.mark.parametrize(
+        "dim, size, batch",
+        [
+            # one number per target with batch >= 8: numpy sums the batch pairwise
+            (1, 8, 8), (1, 12, 8), (1, 20, 9), (1, 40, 16), (1, 80, 40), (1, 300, 257),
+            (4, 9, 9), (2, 6, 6),  # the full batch: broadcast index rows, no draw
+            (1, 5, 1), (3, 7, 1),  # batch 1
+            (8, 30, 12), (314, 20, 10),
+        ],
+    )
+    def test_shapes(self, dim, size, batch):
+        rng = np.random.default_rng(size * 1000 + batch * 10 + dim)
+        task = QuadraticTask([LocalDataset(features=rng.normal(size=(size, dim))) for _ in range(2)], batch)
+        assert_stream_matches_kernel(task, rng.normal(size=dim), 50, 17)
+
+    @pytest.mark.parametrize("dim, size, batch", [(1, 10, 8), (2, 6, 3), (2, 5, 5), (3, 4, 1)])
+    def test_exact_rational_features(self, dim, size, batch):
+        rng = np.random.default_rng(dim * 100 + size)
+        datasets = []
+        for _ in range(2):
+            vals = rng.integers(-50, 50, size=(size, dim))
+            feats = np.array([[Fraction(int(v), 7) for v in row] for row in vals], dtype=object)
+            datasets.append(LocalDataset(features=feats))
+        task = QuadraticTask(datasets, batch)
+        w = np.array([Fraction(k, 3) for k in range(dim)], dtype=object)
+        assert_stream_matches_kernel(task, w, 20, 5)
+
+
 class TestLogistic:
     def test_loss_at_zero_is_ln2(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 2.0], [3.0, -1.0]])
@@ -224,17 +291,21 @@ def logistic_cases(draw):
     return task, draw(point), draw(point), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
+def assert_lipschitz_bounds_hessians(task, w, lipschitz):
+    """L bounds every device's Hessian, mean of p(1-p) x x^T, at w."""
+    for ds in task.datasets:
+        p = 1.0 / (1.0 + np.exp(-ds.labels * (ds.features @ w)))
+        hess = np.einsum("n,ni,nj->ij", p * (1.0 - p), ds.features, ds.features) / ds.size
+        assert np.linalg.eigvalsh(hess)[-1] <= lipschitz * (1.0 + 1e-12)
+
+
 class TestLogisticTheoryConstants:
     @settings(max_examples=300, deadline=None)
     @given(logistic_cases())
     def test_constants_bound_the_objective(self, case):
         task, w0, w, weighted, seed = case
         consts = task.theory_constants(w0, weighted)
-        # L bounds every device's Hessian, mean of p(1-p) x x^T, at w
-        for ds in task.datasets:
-            p = 1.0 / (1.0 + np.exp(-ds.labels * (ds.features @ w)))
-            hess = np.einsum("n,ni,nj->ij", p * (1.0 - p), ds.features, ds.features) / ds.size
-            assert np.linalg.eigvalsh(hess)[-1] <= consts["lipschitz"] * (1.0 + 1e-12)
+        assert_lipschitz_bounds_hessians(task, w, consts["lipschitz"])
         # sigma2 bounds the squared deviation of any batch gradient at w
         g = task.global_gradient(w, weighted)
         rng = np.random.default_rng(seed)
@@ -245,6 +316,18 @@ class TestLogisticTheoryConstants:
         # gap0 bounds F(w0) - F(w) under the run's weighting
         loss = flat_global_loss(task, weighted)
         assert loss(w0) - loss(w) <= consts["gap0"]
+
+    def test_subnormal_squares_still_bounded(self):
+        # features of scale 1e-162..1e-150 have subnormal squares, where
+        # rounding is absolute, not relative: L = R^2/4 must still bound
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            size, dim = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            x = 10.0 ** rng.uniform(-162, -150) * rng.normal(size=(size, dim))
+            y = np.where(rng.random(size) < 0.5, -1, 1)
+            task = LogisticTask([LocalDataset(features=x, labels=y)], batch_size=1)
+            consts = task.theory_constants(np.zeros(dim))
+            assert_lipschitz_bounds_hessians(task, rng.normal(size=dim), consts["lipschitz"])
 
 
 class TestTinyMLP:
