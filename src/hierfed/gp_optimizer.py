@@ -13,13 +13,13 @@ what remains is minimizing a convex log-sum-exp expression over
 {log G <= 0, tau >= 1}. That small smooth convex program is solved with the
 standard log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3),
 so no external solver is needed: the barrier parameter t starts where the
-start point is most nearly central (11.3.1), clamped to [1, twice the t whose
-duality gap meets the tolerance there]; each centering stops when half the
-squared Newton decrement is at most 1e-10, t grows 20x per phase until the
-duality gap m/t is at most 1e-10 max(1, |f|), and the line search backtracks
-on values only, first to stay strictly feasible and then, away from the
-center, for Armijo decrease. A phase or line search that exceeds its bound
-raises SubproblemFailure.
+start point is most nearly central (11.3.1), or at 1; one relative tolerance
+of 1e-10 ends both loops, so each centering stops when half the squared
+Newton decrement is at most 1e-10 max(1, |barrier value|), and t grows 20x
+per phase until the duality gap m/t is at most 1e-10 max(1, |f|). The line
+search backtracks on values only, first to stay strictly feasible and then,
+away from the center, for Armijo decrease. A phase or line search that
+exceeds its bound raises SubproblemFailure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,7 +217,8 @@ def _lse_value(exps: np.ndarray, logc: np.ndarray, y: np.ndarray) -> float:
 
 
 # Barrier-method settings of _solve_inner (Boyd & Vandenberghe, Convex
-# Optimization, 11.3): one tolerance for centering and for the duality gap.
+# Optimization, 11.3): one relative tolerance, for centering and for the
+# duality gap alike.
 _EPS = 1e-10
 _T_GROWTH = 20.0
 _MAX_PHASES = 40
@@ -241,16 +243,14 @@ def _solve_inner(
 
     Barrier method: for t = t0, 20 t0, 400 t0, ... center t f(y) + phi(y),
     phi(y) = -log(-LSE(g)(y)) - sum log y, with Newton steps until
-    lambda^2/2 <= _EPS, where lambda^2 = -grad . step is the Newton
-    decrement; stop once the duality gap m/t of the m = n + 1 constraints is
-    at most _EPS max(1, |f|). t0 = -<grad f, H^-1 grad phi> / <grad f, H^-1
-    grad f>, H = hess phi(y0), makes y0 most nearly central (Boyd &
-    Vandenberghe 11.3.1); it is 1 if the denominator is not finite and
-    positive, and clamped to [1, 2m / (_EPS max(1, |f(y0)|))], where the
-    gap test passes even if f loses half its size while centering (at the
-    bare threshold a start at the optimum of a problem with f < 0 fails it
-    by roundoff and goes on to a 20x larger t). The line search
-    evaluates values only: it halves the step until the trial point is
+    lambda^2/2 <= _EPS max(1, |t f + phi|), where lambda^2 = -grad . step is
+    the Newton decrement; stop once the duality gap m/t of the m = n + 1
+    constraints is at most _EPS max(1, |f|). Both tests are relative, so
+    neither asks for more digits than the barrier value holds at large t.
+    t0 = -<grad f, H^-1 grad phi> / <grad f, H^-1 grad f>, H = hess phi(y0),
+    makes y0 most nearly central (Boyd & Vandenberghe 11.3.1); it is 1 if
+    that is smaller or the denominator is not finite and positive. The line
+    search evaluates values only: it halves the step until the trial point is
     strictly feasible and, while lambda^2/2 > _FULL_STEP, until it also
     passes the Armijo test; closer to the center, where the decrease drops
     below the roundoff of the barrier value, the whole step is taken. y0
@@ -265,12 +265,11 @@ def _solve_inner(
         f = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv)
         return t * f - math.log(-c) - float(np.sum(np.log(yv)))
 
-    r, gr, _ = _lse(obj_exps, obj_logc, y)
+    _, gr, _ = _lse(obj_exps, obj_logc, y)
     c, gc, hc = _lse(g_exps, g_logc, y)
     h_grad_f = np.linalg.solve(-hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2), gr - lin)
     den = float((gr - lin) @ h_grad_f)
-    t_max = 2.0 * m / (_EPS * max(1.0, abs(r - float(lin @ y))))
-    t = min(max(float((gc / c + 1.0 / y) @ h_grad_f) / den, 1.0), t_max) if 0.0 < den < math.inf else 1.0
+    t = max(float((gc / c + 1.0 / y) @ h_grad_f) / den, 1.0) if 0.0 < den < math.inf else 1.0
     steps = 0
     for _ in range(_MAX_PHASES):
         for _ in range(_MAX_NEWTON):
@@ -284,10 +283,10 @@ def _solve_inner(
             except np.linalg.LinAlgError as exc:
                 raise SubproblemFailure("singular Newton system") from exc
             lam2 = float(-grad @ step)
-            if lam2 / 2 <= _EPS:
+            value = t * f - math.log(-c) - float(np.sum(np.log(y)))
+            if lam2 / 2 <= _EPS * max(1.0, abs(value)):
                 break
             damped = lam2 / 2 > _FULL_STEP
-            value = t * f - math.log(-c) - float(np.sum(np.log(y)))
             alpha = 1.0
             for _ in range(_MAX_BACKTRACK):
                 cand = y + alpha * step
@@ -323,22 +322,20 @@ def _strictly_feasible_start(spec: ObjectiveSpec, taus: np.ndarray) -> np.ndarra
     raise InfeasibleStart("no strictly feasible point near the given taus")
 
 
-class AgmaStep(tuple):
-    """agma_step's (taus, delta, betas): unpacks as that 3-tuple and also
-    carries the inner solve's Newton step count."""
+class AgmaStep(NamedTuple):
+    """agma_step's new point, its delta, the geometric-mean weights it used,
+    and the inner solve's Newton step count."""
 
+    taus: tuple[float, ...]
+    delta: float
+    betas: tuple[float, ...]
     newton_steps: int
-
-    def __new__(cls, taus: tuple[float, ...], delta: float, betas: tuple[float, ...], newton_steps: int):
-        self = super().__new__(cls, (taus, delta, betas))
-        self.newton_steps = newton_steps
-        return self
 
 
 def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
     """One outer iteration: refresh the geometric-mean weights at the current
-    point, solve the resulting standard GP, and return (taus, delta, betas)
-    as an AgmaStep.
+    point, solve the resulting standard GP, and return the new point as an
+    AgmaStep.
 
     The weights are beta_0 = (err_weight + delta) / (J- + delta) for the
     constant+delta group and beta_k = u_k(tau) / (J- + delta) for each
@@ -417,10 +414,9 @@ def optimize(spec: ObjectiveSpec) -> OptimizerResult:
     if g_ones < 1.0 - 1e-12:
         for iterations in range(1, _MAX_ITERS + 1):
             step = agma_step(spec, taus, delta)
-            new_taus, new_delta, _ = step
             newton_steps += step.newton_steps
-            if new_delta < delta:  # accept improvements only, so the sequence
-                taus, delta = new_taus, new_delta  # is non-increasing by construction
+            if step.delta < delta:  # accept improvements only, so the sequence
+                taus, delta = step.taus, step.delta  # is non-increasing by construction
             history.append(delta)
             if abs(history[-1] - history[-2]) < _TOLERANCE * max(1.0, abs(history[-2])):
                 converged = True

@@ -308,7 +308,7 @@ def test_criterion_06_barrier_warm_start(monkeypatch):
     # counts, not timers: each barrier solve starts at the t for which its
     # start point is most nearly central, so an AGMA step begun at the last
     # step's optimum skips the early phases; restarting every solve at t = 1
-    # takes 5527 Newton steps here, and a median of 88 per later step
+    # takes 4559 Newton steps here, and a median of 73 per later step
     per_step, later, total = [], [], 0
     agma_step = gp_optimizer.agma_step
 
@@ -327,6 +327,28 @@ def test_criterion_06_barrier_warm_start(monkeypatch):
         later += per_step[1:]
     assert total <= 3000
     assert float(np.median(later)) <= 20
+
+
+def test_criterion_06_barrier_restart_at_optimum(monkeypatch):
+    # a barrier solve begun at its own optimum, or a hair off it, must still
+    # finish, and quickly: these restarts take at most 20 Newton steps
+    solves = []
+    solve_inner = gp_optimizer._solve_inner
+
+    def recorded(*args):
+        y, steps = solve_inner(*args)
+        solves.append((args[:-1], y))
+        return y, steps
+
+    monkeypatch.setattr(gp_optimizer, "_solve_inner", recorded)
+    rng = np.random.default_rng(666)
+    for _ in range(6):
+        optimize(_optimizer_spec(rng, int(rng.integers(2, 4))))
+    assert len(solves) >= 20
+    for problem, y_opt in solves:
+        for start in (y_opt, y_opt * (1.0 + 1e-12)):
+            _, steps = solve_inner(*problem, start)
+            assert steps <= 30
 
 
 def test_criterion_07_closed_form_special_case():

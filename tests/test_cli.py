@@ -685,6 +685,26 @@ class TestMainEntry:
         assert out["taus_integer"] == [2, 1]
         assert out["slack"] == pytest.approx(0.0176, abs=1e-4)
 
+    def test_optimize_alpha_one(self, tmp_path, capsys):
+        # at alpha = 1 the barrier's centering stalled at large t, and
+        # optimize exited 1 as an internal error
+        cfg = quad_config(
+            tmp_path,
+            topology={
+                "layer_sizes": [64, 32, 20, 1],
+                "parents": [[i // 2 for i in range(64)], [i % 20 for i in range(32)], [0] * 20],
+            },
+            schedule={"rounds": 2},
+            alpha=1,
+            latency={
+                "cycles_per_sample": 35518323.6, "frequencies": [2e9], "batch_size": 4,
+                "model_bits": 1e5, "t_edge": [2.5246, 2.7870], "deadline": 10.8359,
+            },
+        )
+        assert main(["optimize", self.write(tmp_path, cfg), "--oracle", "--tau-max", "8"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["taus_integer"] == [1, 1, 1] and out["oracle_gap"] == 1.0
+
     @pytest.mark.parametrize("tau_max", ["0", "-3"])
     def test_optimize_tau_max_below_one_exit_two(self, tmp_path, capsys, tau_max):
         cfg = quad_config(tmp_path, schedule={"rounds": 4}, latency={"deadline": 4000.0})

@@ -109,7 +109,7 @@ class TestAgmaStep:
             if g_value(spec, taus) > 1.0:
                 continue
             delta = max(objective(spec, taus), 1e-6)
-            _, _, betas = agma_step(spec, taus, delta)
+            betas = agma_step(spec, taus, delta).betas
             assert sum(betas) == pytest.approx(1.0, rel=1e-12)
 
     def test_geometric_mean_minorizes(self):
@@ -143,7 +143,7 @@ class TestAgmaStep:
             spec = random_spec(rng)
             taus = (1.0,) * spec.n_layers
             delta = max(j_plus(spec, taus) - j_minus(spec, taus), 1e-8)
-            _, new_delta, _ = agma_step(spec, taus, delta)
+            new_delta = agma_step(spec, taus, delta).delta
             assert new_delta <= delta + 1e-12
 
     def test_infeasible_start_rejected(self):
@@ -221,9 +221,58 @@ class TestOptimize:
         for _ in range(res.iterations):
             step = agma_step(spec, taus, delta)
             total += step.newton_steps
-            if step[1] < delta:
-                taus, delta = step[0], step[1]
+            if step.delta < delta:
+                taus, delta = step.taus, step.delta
         assert res.iterations >= 1 and res.newton_steps == total > 0
+
+
+def tight_spec(rng):
+    """A spec whose deadline leaves room x the all-ones round time, q = 0."""
+    n = int(rng.integers(2, 5))
+    counts = tuple(int(c) for c in sorted(rng.integers(2, 40, n - 1))[::-1])
+    cycles = float(10 ** rng.uniform(6, 8))
+    t_edge = [float(v) for v in rng.uniform(0.1, 1.0, n - 1)]
+    room = float(rng.choice((1.003, 1.03, 1.3, 3.0, 30.0)))
+    alpha = float(rng.choice((0.1, 0.5, 0.9, 1.0)))
+    n_tot = counts[0] * int(rng.integers(2, 5))
+    spec = make_spec(alpha, counts, n_tot, (0.0,) * n, t_edge, deadline=1.0, cycles=cycles)
+    spec.latency.deadline = room * round_latency(spec.latency, (1,) * n)
+    return spec
+
+
+class TestTightDeadlines:
+    # the duality-gap test is relative, so at large t an absolute centering
+    # stop asked for more digits than the barrier value holds, and these
+    # raised SubproblemFailure (27 of the 80, all with room 1.003 or 1.03)
+    def test_seeded_tight_deadlines(self):
+        rng = np.random.default_rng(2026)
+        for trial in range(80):
+            spec = tight_spec(rng)
+            res = optimize(spec)
+            assert res.slack >= 0.0, trial
+            assert g_value(spec, res.taus_integer) <= 1.0, trial
+
+    def test_singular_newton_system_instance(self):
+        # raised "singular Newton system"; brute force finds (1, 3, 1), 5.9%
+        # better, which this local method does not reach from all-ones
+        spec = make_spec(
+            0.6552228908712859, (7, 7), 28, (0.0, 0.0, 0.0),
+            [0.1035592747615156, 0.029662217811425876], deadline=0.37024226288078044,
+            cycles=2307219.5760828475,
+        )
+        res = optimize(spec)
+        assert res.taus_integer == (1, 1, 2)
+        assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0
+
+    def test_alpha_one_instance(self):
+        # at alpha = 1 the inner objective is linear; centering at large t stalled
+        spec = make_spec(
+            1.0, (32, 20), 64, (0.0, 0.0, 0.0), [2.5246, 2.7870], deadline=10.8359,
+            rounds=2, cycles=35518323.6,
+        )
+        res = optimize(spec)
+        assert res.taus_integer == (1, 1, 1) == brute_force(spec, 8)[0]
+        assert res.slack >= 0.0
 
 
 class TestInnerSolverBounds:
