@@ -11,6 +11,7 @@ Configs are YAML (JSON parses too). Every subcommand resolves its config
 through the same `_setup` step, which reads each key once with one default:
 measure-q stops after the quantizer constants and reads no schedule or
 latency key, optimize stops after the latency model and needs no lr or taus,
+compare-depths stops before the schedule, which `_schedule` sets per depth,
 and run and theory resolve everything, so theory reports the GP-optimized
 taus when schedule.optimize is set, as run does. schedule.rounds has no
 default. The summary.json config echo is built from the resolved objects, so
@@ -29,7 +30,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,15 @@ def _section(cfg: dict, key: str, where: str = "config", required: bool = True) 
     return dict(value)
 
 
+def integer(value) -> int:
+    """int(value) of a whole number or an integer string such as "8"; a
+    number with a fractional part is rejected, not truncated. The `kind`
+    for integer keys: `_list` and `_scalar` name it in their errors."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _list(cfg: dict, key: str, kind, where: str = "config", default=None) -> list:
     """kind(entry) for each entry of the list under `key`; a key with a
     default may be absent."""
@@ -115,9 +125,9 @@ def _build_topology(cfg: dict) -> Topology:
     tcfg = _section(cfg, "topology")
     if "file" in tcfg:
         tcfg = load_config(tcfg["file"])
-    sizes = _list(tcfg, "layer_sizes", int, "topology")
+    sizes = _list(tcfg, "layer_sizes", integer, "topology")
     if "fanouts" in tcfg:
-        return build_topology(sizes, fanouts=_list(tcfg, "fanouts", int, "topology"))
+        return build_topology(sizes, fanouts=_list(tcfg, "fanouts", integer, "topology"))
     if "parents" in tcfg:
         return build_topology(sizes, parents=_list(tcfg, "parents", list, "topology"))
     raise ConfigError("topology needs fanouts or parents (inline or via file)")
@@ -126,7 +136,10 @@ def _build_topology(cfg: dict) -> Topology:
 def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict]:
     """The labeled pool and its resolved config."""
     if "file" in pool_cfg:
-        raw = np.loadtxt(pool_cfg["file"], delimiter=",", skiprows=1)
+        try:
+            raw = np.loadtxt(pool_cfg["file"], delimiter=",", skiprows=1)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"task.pool.file not found: {pool_cfg['file']}") from exc
         feats, labels = raw[:, :-1], raw[:, -1].astype(int)
         holdout = _scalar(pool_cfg, "holdout_fraction", float, "task.pool", 0.2)
         order = _stream(seed, _TASK_GEN_STREAM, 1).permutation(len(feats))
@@ -140,9 +153,9 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         ), pool_cfg
     syn = _section(pool_cfg, "synthetic", "task.pool")
     resolved = {
-        "samples": _scalar(syn, "samples", int, "task.pool.synthetic", 4000),
-        "classes": _scalar(syn, "classes", int, "task.pool.synthetic", 10),
-        "dim": _scalar(syn, "dim", int, "task.pool.synthetic", 8),
+        "samples": _scalar(syn, "samples", integer, "task.pool.synthetic", 4000),
+        "classes": _scalar(syn, "classes", integer, "task.pool.synthetic", 10),
+        "dim": _scalar(syn, "dim", integer, "task.pool.synthetic", 8),
         "spread": _scalar(syn, "spread", float, "task.pool.synthetic", 0.6),
         "holdout_fraction": _scalar(syn, "holdout_fraction", float, "task.pool.synthetic", 0.2),
     }
@@ -167,14 +180,14 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
     init_scale = _scalar(tcfg, "init_scale", float, "task", 0.1 if kind == "tiny_mlp" else 0.0)
     resolved = {"kind": kind, "init_scale": init_scale}
     if kind == "quadratic":
-        dim = _scalar(tcfg, "dimension", int, "task", 4)
-        spd = _scalar(tcfg, "samples_per_device", int, "task", 8)
+        dim = _scalar(tcfg, "dimension", integer, "task", 4)
+        spd = _scalar(tcfg, "samples_per_device", integer, "task", 8)
         resolved.update(
             dimension=dim,
             samples_per_device=spd,
             center_spread=_scalar(tcfg, "center_spread", float, "task", 1.0),
             sample_spread=_scalar(tcfg, "sample_spread", float, "task", 0.1),
-            batch_size=_scalar(tcfg, "batch_size", int, "task", spd),
+            batch_size=_scalar(tcfg, "batch_size", integer, "task", spd),
         )
         task = tasks_mod.make_quadratic_task(
             n_dev,
@@ -187,8 +200,8 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
         )
     elif kind in ("logistic", "tiny_mlp"):
         pool, pool_resolved = _load_pool(_section(tcfg, "pool", "task"), seed)
-        case = _scalar(tcfg, "partition_case", int, "task", 3)
-        size_range = _list(tcfg, "size_range", int, "task", default=[20, 40])
+        case = _scalar(tcfg, "partition_case", integer, "task", 3)
+        size_range = _list(tcfg, "size_range", integer, "task", default=[20, 40])
         if len(size_range) != 2:
             raise ConfigError(f"task key 'size_range' must be [lo, hi], got {size_range!r}")
         resolved.update(partition_case=case, size_range=size_range, pool=pool_resolved)
@@ -203,7 +216,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
             )
         except tasks_mod.InsufficientPool as exc:
             raise ConfigError(f"task.pool too small: {exc}") from exc
-        batch = _scalar(tcfg, "batch_size", int, "task", min(p.size for p in parts))
+        batch = _scalar(tcfg, "batch_size", integer, "task", min(p.size for p in parts))
         resolved["batch_size"] = batch
         if kind == "logistic":
             for p in parts:
@@ -212,7 +225,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
             task = tasks_mod.LogisticTask(parts, batch_size=batch)
         else:
             n_classes = int(np.max(pool.labels)) + 1
-            resolved["hidden"] = _scalar(tcfg, "hidden", int, "task", 16)
+            resolved["hidden"] = _scalar(tcfg, "hidden", integer, "task", 16)
             task = tasks_mod.TinyMLPTask(
                 parts,
                 batch_size=batch,
@@ -234,7 +247,7 @@ def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]
     if not all(isinstance(entry, dict) for entry in qcfg):
         raise ConfigError(f"quantizers entries must be mappings, got {qcfg!r}")
     return [
-        quant_mod.QuantizerSpec(e.get("kind", "identity"), _scalar(e, "levels", int, "quantizers", 1))
+        quant_mod.QuantizerSpec(e.get("kind", "identity"), _scalar(e, "levels", integer, "quantizers", 1))
         for e in qcfg
     ]
 
@@ -253,7 +266,7 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
     params = latency_mod.LatencyParams(
         cycles_per_sample=_scalar(lcfg, "cycles_per_sample", float, "latency", 0.25e9),
         frequencies=freqs,
-        batch_size=_scalar(lcfg, "batch_size", int, "latency", task.batch_size),
+        batch_size=_scalar(lcfg, "batch_size", integer, "latency", task.batch_size),
         model_bits=_scalar(lcfg, "model_bits", float, "latency", 32.0 * task.dim),
         bandwidth=_scalar(lcfg, "bandwidth", float, "latency", 1e6),
         tx_power=_scalar(lcfg, "tx_power", float, "latency", 0.5),
@@ -273,9 +286,9 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         t_edge = [m * t_de for m in _list(t_edge, "multipliers", float, "latency.t_edge")]
     else:
         t_edge = _list(lcfg, "t_edge", float, "latency")
-    if len(t_edge) < n_layers - 1:
-        raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries")
-    params.t_edge = [float(v) for v in t_edge[: max(0, n_layers - 1)]]
+    if len(t_edge) != n_layers - 1:
+        raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries, one per inter-edge hop, got {len(t_edge)}")
+    params.t_edge = [float(v) for v in t_edge]
     return params
 
 
@@ -284,7 +297,8 @@ class _Setup:
     """The objects one config resolves to; every subcommand consumes this.
 
     The fields after `q` stay None when `_setup` stops early: measure-q
-    resolves nothing past `q`, optimize nothing past `lat`.
+    resolves nothing past `q`, optimize nothing past `lat`, and
+    compare-depths leaves `sched` and `optimizer` to `_schedule`, per depth.
     """
 
     seed: int
@@ -338,7 +352,7 @@ class _Setup:
 def _setup(cfg: dict, command: str = "run") -> _Setup:
     """Resolve the config for `command` (see the module docstring for what
     each command reads), reading each key once."""
-    seed = _scalar(cfg, "seed", int)
+    seed = _scalar(cfg, "seed", integer)
     topo = _build_topology(cfg)
     task, pool, task_resolved = _build_task(cfg, topo, seed)
     quantizers = _build_quantizers(cfg, topo.num_layers)
@@ -348,7 +362,7 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
         return s
     scfg = _section(cfg, "schedule")
     s.alpha = _scalar(cfg, "alpha", float, default=0.5)
-    s.lat = _build_latency(cfg, topo, task, seed, _scalar(scfg, "rounds", int, "schedule"))
+    s.lat = _build_latency(cfg, topo, task, seed, _scalar(scfg, "rounds", integer, "schedule"))
     if command == "optimize":
         return s
     s.lr = _scalar(cfg, "lr", float)
@@ -359,16 +373,25 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     for k in _THEORY_CONSTANTS:
         if s.theory.get(k) is not None:
             s.theory[k] = _scalar(s.theory, k, float, "theory")
-    if scfg.get("optimize", False):
-        s.optimizer = gp_optimizer.optimize(s.objective())
-        taus = s.optimizer.taus_integer
-    else:
-        taus = tuple(_list(scfg, "taus", int, "schedule"))
-        if len(taus) != topo.num_layers:
-            raise ConfigError(f"schedule.taus needs {topo.num_layers} entries, one per layer, got {len(taus)}")
-    s.sched = engine.Schedule(taus, s.lat.rounds)
     scale = task_resolved["init_scale"]
     s.w0 = scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim) if scale else np.zeros(task.dim)
+    if command == "compare-depths":
+        return s
+    return _schedule(s, scfg)
+
+
+@_config_errors()
+def _schedule(s: _Setup, scfg: dict, taus: list[int] | None = None) -> _Setup:
+    """s with its schedule set: `taus` when given, else the schedule
+    section's taus, or the GP optimizer's when that section sets optimize."""
+    if taus is None and scfg.get("optimize", False):
+        s.optimizer = gp_optimizer.optimize(s.objective())
+        taus = s.optimizer.taus_integer
+    elif taus is None:
+        taus = _list(scfg, "taus", integer, "schedule")
+    if len(taus) != s.topo.num_layers:
+        raise ConfigError(f"schedule.taus needs {s.topo.num_layers} entries, one per layer, got {len(taus)}")
+    s.sched = engine.Schedule(tuple(taus), s.lat.rounds)
     return s
 
 
@@ -435,13 +458,13 @@ def _optimizer_block(res: gp_optimizer.OptimizerResult) -> dict:
 
 def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     """Execute one configured run; write metrics.csv and summary.json."""
-    return _run(cfg, output_dir)[0]
+    out = output_dir if output_dir is not None else cfg.get("output_dir", ".")
+    return _run(_setup(cfg), Path(out))[0]
 
 
-def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.RunMetrics, list[float]]:
-    """run_experiment that also returns the run's in-memory metrics and the
-    simulated time at the end of each round."""
-    s = _setup(cfg)
+def _run(s: _Setup, out: Path) -> tuple[dict, engine.RunMetrics, list[float]]:
+    """Run a resolved setup and write its artifacts to `out`; also returns
+    the in-memory metrics and the simulated time at the end of each round."""
     per_round = latency_mod.round_latency(s.lat, s.sched.taus)
     metrics = engine.run(
         s.task,
@@ -472,7 +495,6 @@ def _run(cfg: dict, output_dir: str | Path | None = None) -> tuple[dict, engine.
         "config": s.echo(),
     }
 
-    out = Path(output_dir if output_dir is not None else cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -493,50 +515,37 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
 
     The compare block maps each depth to its distance factor kappa and its
     iteration counts; schedules are expected to share the same product so
-    that depth effects come from latency, not work per round. A depth-d tree
-    keeps the base tree's top hops: the last d quantizers and the last d - 1
-    inter-edge times. Those times are the base config's in seconds, with
-    multipliers resolved against its t_DE at latency.kappa, so a depth's
-    kappa stretches only its device hop.
+    that depth effects come from latency, not work per round. The config is
+    resolved once, to the base tree's setup. Depth d of an N-layer base is
+    that setup with the tree reduced to d layers, the top d quantizers and
+    their q, the depth's kappa (1 when not given) and the base's top d - 1
+    inter-edge times in seconds, so a depth's kappa stretches only its device
+    hop. Its schedule is compare.taus[d], else the base config's schedule.
     """
     ccfg = _section(cfg, "compare", required=False)
     if depths is None:
-        depths = _list(ccfg, "depths", int, "compare")
+        depths = _list(ccfg, "depths", integer, "compare")
     threshold = _scalar(ccfg, "threshold", float, "compare", 1e-4)
     kappa_cfg = _section(ccfg, "kappas", "compare", required=False)
     taus_cfg = _section(ccfg, "taus", "compare", required=False)
-    with _config_errors():  # int() of a key that is not a depth raises ValueError
-        kappas = {int(k): _scalar(kappa_cfg, k, float, "compare.kappas") for k in kappa_cfg}
-        taus_map = {int(k): _list(taus_cfg, k, int, "compare.taus") for k in taus_cfg}
+    with _config_errors():  # integer() of a key that is not a depth raises ValueError
+        kappas = {integer(k): _scalar(kappa_cfg, k, float, "compare.kappas") for k in kappa_cfg}
+        taus_map = {integer(k): _list(taus_cfg, k, integer, "compare.taus") for k in taus_cfg}
 
-    base = _build_topology(cfg)
-    base_lat = _section(cfg, "latency", required=False)
-    base_hops = _setup(cfg, "optimize").lat.t_edge  # also checks the base tree's quantizers
+    base = _setup(cfg, "compare-depths")
+    scfg = _section(cfg, "schedule")
+    n = base.topo.num_layers
     rows = []
     out_dir = Path(cfg.get("output_dir", "."))
     for depth in depths:
-        if depth > base.num_layers:
-            raise ConfigError(f"depth {depth} exceeds the base tree ({base.num_layers})")
-        sub = dict(cfg)
+        if depth > n:
+            raise ConfigError(f"depth {depth} exceeds the base tree ({n})")
         with _config_errors():
-            topo = reduce_depth(base, base.num_layers - depth)
-        sub["topology"] = {
-            "layer_sizes": list(topo.layer_sizes),
-            "fanouts": list(topo.fanouts),
-        }
-        sub_sched = _section(cfg, "schedule", required=False)
-        if depth in taus_map:
-            sub_sched["taus"] = taus_map[depth]
-            sub_sched.pop("optimize", None)
-        sub["schedule"] = sub_sched
-        keep = slice(base.num_layers - depth, base.num_layers - 1)  # t_edge[-0:] would keep all at depth 1
-        sub["latency"] = {**base_lat, "kappa": kappas.get(depth, 1.0), "t_edge": base_hops[keep]}
-        qcfg = cfg.get("quantizers")
-        if qcfg is not None:
-            sub["quantizers"] = list(qcfg)[-depth:]  # keep the upper hops' settings
-        sub["output_dir"] = str(out_dir / f"depth_{depth}")
-
-        summary, metrics, elapsed = _run(sub)
+            topo = reduce_depth(base.topo, n - depth)
+            lat = replace(base.lat, kappa=kappas.get(depth, 1.0), t_edge=base.lat.t_edge[n - depth :])
+            latency_mod.compute_tde(lat)  # rejects a zero link rate at this depth's kappa
+        s = replace(base, topo=topo, quantizers=base.quantizers[-depth:], q=base.q[-depth:], lat=lat)
+        summary, metrics, elapsed = _run(_schedule(s, scfg, taus_map.get(depth)), out_dir / f"depth_{depth}")
         hit = next((t for t, g in enumerate(metrics.grad_norm_sq) if g <= threshold), None)
         rows.append(
             {

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from hierfed import engine
+from hierfed import tasks as tasks_mod
 from hierfed.cli import (
     ConfigError,
     _setup,
@@ -75,6 +76,13 @@ class TestRunExperiment:
         summary = run_experiment(load_config(path))
         assert summary["config"]["lr"] == 0.05
         assert summary["config"]["latency"]["deadline"] == 1e9
+
+    def test_whole_floats_and_integer_strings_read_as_integers(self, tmp_path):
+        run_experiment(quad_config(tmp_path, output_dir=str(tmp_path / "a")))
+        cfg = quad_config(tmp_path, seed=7.0, schedule={"taus": ["2", 1.0, 1], "rounds": "8"}, output_dir=str(tmp_path / "b"))
+        summary = run_experiment(cfg)
+        assert summary["config"]["seed"] == 7 and summary["config"]["schedule"] == {"taus": [2, 1, 1], "rounds": 8}
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
     def test_seed_replay_byte_identical(self, tmp_path):
         cfg = quad_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -307,6 +315,14 @@ class TestPoolFile:
         summary = run_experiment(cfg)
         assert summary["final_accuracy"] is not None
 
+    def test_missing_pool_file_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        cfg = quad_config(tmp_path, task={"kind": "logistic", "pool": {"file": str(missing)}})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: task.pool.file not found: {missing}\n"
+
     def test_frequency_range_draw_is_seeded(self, tmp_path):
         cfg = quad_config(
             tmp_path,
@@ -382,7 +398,54 @@ class TestCompareDepths:
             output_dir=str(tmp_path / "plain"),
         )
         summary = run_experiment(plain)
-        assert rows[0]["final_loss"] == pytest.approx(summary["final_loss"], rel=1e-12)
+        assert rows[0]["final_loss"] == summary["final_loss"]
+        depth_csv = tmp_path / "out" / "depth_3" / "metrics.csv"
+        assert depth_csv.read_bytes() == (tmp_path / "plain" / "metrics.csv").read_bytes()
+
+    def test_full_depth_of_a_parents_tree_equals_plain_run(self, tmp_path):
+        # the full depth removes no layer, so it needs no uniform fan-out
+        tree = {"layer_sizes": [4, 2, 1], "parents": [[0, 0, 1, 1], [0, 0]]}
+        cfg = quad_config(tmp_path, topology=tree, schedule={"taus": [2, 1], "rounds": 3}, compare={"depths": [2]})
+        compare_depths(cfg)
+        run_experiment(cfg, tmp_path / "plain")
+        for name in ("metrics.csv", "summary.json"):
+            assert (tmp_path / "out" / "depth_2" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_task_built_once_for_all_depths(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        make = tasks_mod.make_quadratic_task
+        monkeypatch.setattr(tasks_mod, "make_quadratic_task", counted)
+        cfg = quad_config(tmp_path, schedule={"taus": [1, 1, 1], "rounds": 1},
+                          compare={"depths": [3, 2, 1], "taus": {2: [1, 1], 1: [1]}})
+        assert len(compare_depths(cfg)) == 3
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "t_edge", [[1.0, 2.0], {"multipliers": [1.0, 2.0]}, None], ids=["seconds", "multipliers", "default"]
+    )
+    def test_each_depth_echo_reruns_identically(self, tmp_path, t_edge):
+        latency = {"deadline": 1e9, "kappa": 2.0, "frequencies": {"min": 0.5e9, "max": 2e9}}
+        if t_edge is not None:
+            latency["t_edge"] = t_edge
+        cfg = quad_config(
+            tmp_path,
+            schedule={"taus": [2, 1, 1], "rounds": 3},
+            quantizers=[{"kind": "stochastic_levels", "levels": s} for s in (4, 8, 12)],
+            latency=latency,
+            compare={"depths": [3, 2, 1], "kappas": {2: 5.0}, "taus": {2: [2, 1], 1: [2]}},
+        )
+        compare_depths(cfg)
+        for d in (3, 2, 1):
+            first, second = tmp_path / "out" / f"depth_{d}", tmp_path / f"replay_{d}"
+            summary = json.loads((first / "summary.json").read_text())
+            run_experiment(summary["config"], second)
+            assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes(), d
+            assert json.loads((second / "summary.json").read_text()) == summary, d
 
     @pytest.mark.parametrize(
         "t_edge", [[1.0, 2.0, 3.0], {"multipliers": [1.0, 2.0, 3.0]}, None], ids=["seconds", "multipliers", "default"]
@@ -539,6 +602,17 @@ class TestMainEntry:
             ),
             # a zero link rate, whatever form t_edge takes
             ("run", {"latency": {"deadline": 1e9, "t_edge": [1.0, 2.0], "channel_gain": 1e-30}}, "link rate"),
+            # one inter-edge time per hop, not more
+            ("run", {"latency": {"deadline": 1e9, "t_edge": [1, 2, 3, 4]}}, "latency.t_edge needs 2 entries"),
+            ("run", {"latency": {"deadline": 1e9, "t_edge": {"multipliers": [1, 2, 3]}}}, "latency.t_edge needs 2"),
+            # integer keys given a number with a fractional part
+            ("run", {"seed": 3.7}, "'seed'"),
+            ("run", {"seed": math.inf}, "'seed'"),  # int(inf) raises OverflowError, not ValueError
+            ("run", {"schedule": {"taus": [2, 1, 1], "rounds": 2.5}}, "'rounds'"),
+            ("run", {"schedule": {"taus": [2.5, 1, 1], "rounds": 8}}, "'taus'"),
+            ("run", {"quantizers": [{"kind": "stochastic_levels", "levels": 4.5}] * 3}, "'levels'"),
+            ("compare-depths", {"compare": {"depths": [3], "taus": {3: [2.5, 1, 1]}}}, "compare.taus key 3"),
+            ("compare-depths", {"compare": {"depths": [3], "kappas": {2.5: 1.0}}}, "2.5"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -551,6 +625,9 @@ class TestMainEntry:
             "lr_zero_tiny_mlp", "lr_inf", "taus_length_run", "taus_length_theory",
             "taus_length_compare", "optimize_no_deadline", "optimize_alpha",
             "compare_quantizer_kind", "compare_quantizer_levels", "t_edge_list_zero_rate",
+            "t_edge_list_too_long", "t_edge_multipliers_too_long",
+            "seed_fraction", "seed_inf", "rounds_fraction", "taus_fraction", "levels_fraction",
+            "compare_taus_fraction", "kappa_depth_key_fraction",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
