@@ -382,15 +382,16 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
 
 @_config_errors()
 def _schedule(s: _Setup, scfg: dict, taus: list[int] | None = None) -> _Setup:
-    """s with its schedule set: `taus` when given, else the schedule
-    section's taus, or the GP optimizer's when that section sets optimize."""
+    """s with its schedule set: `taus` (compare.taus.<depth>) when given, else
+    the schedule section's taus, or the GP optimizer's when it sets optimize."""
+    key = "schedule.taus" if taus is None else f"compare.taus.{s.topo.num_layers}"
     if taus is None and scfg.get("optimize", False):
         s.optimizer = gp_optimizer.optimize(s.objective())
         taus = s.optimizer.taus_integer
     elif taus is None:
         taus = _list(scfg, "taus", integer, "schedule")
     if len(taus) != s.topo.num_layers:
-        raise ConfigError(f"schedule.taus needs {s.topo.num_layers} entries, one per layer, got {len(taus)}")
+        raise ConfigError(f"{key} needs {s.topo.num_layers} entries, one per layer, got {len(taus)}")
     s.sched = engine.Schedule(tuple(taus), s.lat.rounds)
     return s
 

@@ -11,15 +11,11 @@ In log variables the inner problem collapses further: at the optimum the
 ratio constraint is active, so delta can be eliminated in closed form and
 what remains is minimizing a convex log-sum-exp expression over
 {log G <= 0, tau >= 1}. That small smooth convex program is solved with the
-standard log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3),
-so no external solver is needed: the barrier parameter t starts where the
-start point is most nearly central (11.3.1), or at 1; one relative tolerance
-of 1e-10 ends both loops, so each centering stops when half the squared
-Newton decrement is at most 1e-10 max(1, |barrier value|), and t grows 20x
-per phase until the duality gap m/t is at most 1e-10 max(1, |f|). The line
-search backtracks on values only, first to stay strictly feasible and then,
-away from the center, for Armijo decrease. A phase or line search that
-exceeds its bound raises SubproblemFailure.
+standard log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3;
+see _solve_inner), so no external solver is needed. t starts where the start
+point is most nearly central, one relative tolerance of 1e-10 ends centering
+and the phases, each Newton iterate is evaluated once (line-search trial
+points for values only), and a bound exceeded raises SubproblemFailure.
 """
 
 from __future__ import annotations
@@ -199,21 +195,21 @@ def g_value(spec: ObjectiveSpec, taus) -> float:
 def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
     """log-sum-exp value, gradient, Hessian of a posynomial in log variables."""
     z = exps @ y + logc
-    m = float(np.max(z))
+    m = float(z.max())
     w = np.exp(z - m)
-    total = float(np.sum(w))
+    total = float(w.sum())
     value = m + math.log(total)
     pi = w / total
     grad = exps.T @ pi
-    hess = exps.T @ (pi[:, None] * exps) - np.outer(grad, grad)
+    hess = exps.T @ (pi[:, None] * exps) - grad[:, None] * grad[None, :]
     return value, grad, hess
 
 
 def _lse_value(exps: np.ndarray, logc: np.ndarray, y: np.ndarray) -> float:
     """log-sum-exp value alone, for line-search trial points."""
     z = exps @ y + logc
-    m = float(np.max(z))
-    return m + math.log(float(np.sum(np.exp(z - m))))
+    m = float(z.max())
+    return m + math.log(float(np.exp(z - m).sum()))
 
 
 # Barrier-method settings of _solve_inner (Boyd & Vandenberghe, Convex
@@ -253,44 +249,46 @@ def _solve_inner(
     search evaluates values only: it halves the step until the trial point is
     strictly feasible and, while lambda^2/2 > _FULL_STEP, until it also
     passes the Armijo test; closer to the center, where the decrease drops
-    below the roundoff of the barrier value, the whole step is taken. y0
-    must be strictly feasible. Returns the optimal y and the number of
-    Newton steps taken; raises SubproblemFailure instead of returning an
-    unconverged point.
+    below the roundoff of the barrier value, the whole step is taken. Each
+    point is evaluated once (LSE values, gradients, Hessians), at y0 and at
+    each accepted step, for all phases. y0 must be strictly feasible. Returns
+    the optimal y and the Newton step count; raises SubproblemFailure rather
+    than return an unconverged point.
     """
     m = len(y0) + 1
     y = y0.copy()
 
     def barrier_value(yv: np.ndarray, t: float, c: float) -> float:
         f = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv)
-        return t * f - math.log(-c) - float(np.sum(np.log(yv)))
+        return t * f - math.log(-c) - float(np.log(yv).sum())
 
-    _, gr, _ = _lse(obj_exps, obj_logc, y)
-    c, gc, hc = _lse(g_exps, g_logc, y)
+    def evaluate(yv: np.ndarray):
+        r, gr, hr = _lse(obj_exps, obj_logc, yv)
+        return r - float(lin @ yv), gr, hr, *_lse(g_exps, g_logc, yv)
+
+    f, gr, hr, c, gc, hc = evaluate(y)
     h_grad_f = np.linalg.solve(-hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2), gr - lin)
     den = float((gr - lin) @ h_grad_f)
     t = max(float((gc / c + 1.0 / y) @ h_grad_f) / den, 1.0) if 0.0 < den < math.inf else 1.0
     steps = 0
     for _ in range(_MAX_PHASES):
         for _ in range(_MAX_NEWTON):
-            r, gr, hr = _lse(obj_exps, obj_logc, y)
-            c, gc, hc = _lse(g_exps, g_logc, y)
-            f = r - float(lin @ y)
             grad = t * (gr - lin) - gc / c - 1.0 / y
-            hess = t * hr - hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2)
+            hess = t * hr - hc / c + gc[:, None] * gc[None, :] / c**2
+            hess.ravel()[::m] += 1.0 / y**2  # the diagonal, in place (m = n + 1)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError as exc:
                 raise SubproblemFailure("singular Newton system") from exc
             lam2 = float(-grad @ step)
-            value = t * f - math.log(-c) - float(np.sum(np.log(y)))
+            value = t * f - math.log(-c) - float(np.log(y).sum())
             if lam2 / 2 <= _EPS * max(1.0, abs(value)):
                 break
             damped = lam2 / 2 > _FULL_STEP
             alpha = 1.0
             for _ in range(_MAX_BACKTRACK):
                 cand = y + alpha * step
-                c_cand = _lse_value(g_exps, g_logc, cand) if np.all(cand > 0.0) else 0.0
+                c_cand = _lse_value(g_exps, g_logc, cand) if (cand > 0.0).all() else 0.0
                 if c_cand < 0.0 and (
                     not damped or barrier_value(cand, t, c_cand) <= value - _ARMIJO * alpha * lam2
                 ):
@@ -299,6 +297,7 @@ def _solve_inner(
             else:
                 raise SubproblemFailure(f"line search stalled at t = {t:.3g}")
             y = cand
+            f, gr, hr, c, gc, hc = evaluate(y)
             steps += 1
         else:
             raise SubproblemFailure(f"centering took over {_MAX_NEWTON} Newton steps at t = {t:.3g}")

@@ -590,6 +590,8 @@ class TestMainEntry:
             ("run", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
             ("theory", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
             ("compare-depths", {"compare": {"depths": [2]}}, "schedule.taus"),
+            # a depth's own taus are named by their key, while schedule.taus is valid
+            ("compare-depths", {"compare": {"depths": [3, 2], "taus": {2: [1, 1, 1]}}}, "compare.taus.2"),
             # objective inputs optimize reads, named as run names them
             ("optimize", {"latency": {}}, "finite positive deadline"),
             ("optimize", {"alpha": 1.5}, "alpha"),
@@ -623,7 +625,7 @@ class TestMainEntry:
             "lr_list", "seed_list", "dimension_list", "rounds_list", "kappa_list",
             "kappa_depth_key", "taus_depth_key", "compare_quantizers_length",
             "lr_zero_tiny_mlp", "lr_inf", "taus_length_run", "taus_length_theory",
-            "taus_length_compare", "optimize_no_deadline", "optimize_alpha",
+            "taus_length_compare", "compare_taus_length", "optimize_no_deadline", "optimize_alpha",
             "compare_quantizer_kind", "compare_quantizer_levels", "t_edge_list_zero_rate",
             "t_edge_list_too_long", "t_edge_multipliers_too_long",
             "seed_fraction", "seed_inf", "rounds_fraction", "taus_fraction", "levels_fraction",

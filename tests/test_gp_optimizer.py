@@ -275,6 +275,22 @@ class TestTightDeadlines:
         assert res.slack >= 0.0
 
 
+    @pytest.mark.xfail(
+        raises=SubproblemFailure,
+        strict=True,
+        reason="an iterate within roundoff of the deadline makes -log(-LSE(g)) noise; centering stalls",
+    )
+    def test_deadline_roundoff_stall_instance(self):
+        # raises "centering took over 100 Newton steps at t = 2.1e+09": LSE(g)
+        # reaches -1e-16 and half the squared Newton decrement stays near 1-3
+        spec = make_spec(
+            0.5067493909279576, (17, 12), 51, (0, 0, 0), [2.509188909370536, 0.9591139947270726],
+            16.910132904544742, rounds=3, cycles=3229619.3188547036,
+        )
+        res = optimize(spec)
+        assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0
+
+
 class TestInnerSolverBounds:
     @pytest.mark.parametrize(
         "bound, value", [("_MAX_BACKTRACK", 0), ("_MAX_NEWTON", 1), ("_MAX_PHASES", 1)]
@@ -284,6 +300,30 @@ class TestInnerSolverBounds:
         spec = make_spec(1.0, (4,), 16, (0.0, 0.0), [0.5], deadline=500.0)
         with pytest.raises(SubproblemFailure):
             optimize(spec)
+
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # the objective and deadline LSEs run once each at the start point and
+        # at each accepted step; a new barrier phase reuses them at its point
+        calls, solves = [0], []
+        lse, solve_inner = gp_optimizer._lse, gp_optimizer._solve_inner
+
+        def counted(*args):
+            calls[0] += 1
+            return lse(*args)
+
+        def recorded(*args):
+            calls[0] = 0
+            y, steps = solve_inner(*args)
+            solves.append((calls[0], steps))
+            return y, steps
+
+        monkeypatch.setattr(gp_optimizer, "_lse", counted)
+        monkeypatch.setattr(gp_optimizer, "_solve_inner", recorded)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            optimize(random_spec(rng))
+        assert len(solves) >= 4
+        assert all(n == 2 * (steps + 1) for n, steps in solves), solves
 
 
 class TestBracketConsistency:
