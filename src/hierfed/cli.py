@@ -2,15 +2,13 @@
 
 Subcommands:
     run             execute one experiment, write metrics.csv + summary.json
-    theory          print condition value, max feasible learning rate, bound
+    theory          print condition value, max feasible learning rate, bound, q
     optimize        print the iteration-count optimizer result
     compare-depths  run reduced-depth variants of a uniform tree
-    measure-q       print the certified quantizer variance constants
 
 Configs are YAML (JSON parses too). Every subcommand resolves its config
 through the same `_setup` step, which reads each key once with one default:
-measure-q stops after the quantizer constants and reads no schedule or
-latency key, optimize stops after the latency model and needs no lr or taus,
+optimize stops after the latency model and needs no lr or taus,
 compare-depths stops before the schedule, which `_schedule` sets per depth,
 and run and theory resolve everything, so theory reports the GP-optimized
 taus when schedule.optimize is set, as run does. schedule.rounds has no
@@ -100,6 +98,15 @@ def integer(value) -> int:
     return int(value)
 
 
+def finite(value) -> float:
+    """float(value) of a finite number; NaN and infinities are rejected. The
+    `kind` for real keys whose value must be a number."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
 def _list(cfg: dict, key: str, kind, where: str = "config", default=None) -> list:
     """kind(entry) for each entry of the list under `key`; a key with a
     default may be absent."""
@@ -118,6 +125,15 @@ def _scalar(cfg: dict, key: str, kind, where: str = "config", default=None):
     with contextlib.suppress(TypeError, ValueError):
         return kind(value)
     raise ConfigError(f"{where} key {key!r} must be a single {kind.__name__} value, got {value!r}")
+
+
+def _flag(cfg: dict, key: str, where: str = "config") -> bool:
+    """The YAML boolean under `key`, false when absent or null; a string such
+    as "false" is rejected rather than read as truthy."""
+    value = cfg.get(key)
+    if value is None or isinstance(value, bool):
+        return bool(value)
+    raise ConfigError(f"{where} key {key!r} must be true or false, got {value!r}")
 
 
 @_config_errors()
@@ -141,7 +157,7 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         except FileNotFoundError as exc:
             raise ConfigError(f"task.pool.file not found: {pool_cfg['file']}") from exc
         feats, labels = raw[:, :-1], raw[:, -1].astype(int)
-        holdout = _scalar(pool_cfg, "holdout_fraction", float, "task.pool", 0.2)
+        holdout = _scalar(pool_cfg, "holdout_fraction", finite, "task.pool", 0.2)
         order = _stream(seed, _TASK_GEN_STREAM, 1).permutation(len(feats))
         n_hold = int(len(feats) * holdout)
         hold, rest = order[:n_hold], order[n_hold:]
@@ -156,8 +172,8 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         "samples": _scalar(syn, "samples", integer, "task.pool.synthetic", 4000),
         "classes": _scalar(syn, "classes", integer, "task.pool.synthetic", 10),
         "dim": _scalar(syn, "dim", integer, "task.pool.synthetic", 8),
-        "spread": _scalar(syn, "spread", float, "task.pool.synthetic", 0.6),
-        "holdout_fraction": _scalar(syn, "holdout_fraction", float, "task.pool.synthetic", 0.2),
+        "spread": _scalar(syn, "spread", finite, "task.pool.synthetic", 0.6),
+        "holdout_fraction": _scalar(syn, "holdout_fraction", finite, "task.pool.synthetic", 0.2),
     }
     pool = tasks_mod.make_blob_pool(
         n_samples=resolved["samples"],
@@ -177,7 +193,7 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
     n_dev = topo.n_devices
     pool = None
     # zero init would leave the tiny MLP at a symmetric saddle
-    init_scale = _scalar(tcfg, "init_scale", float, "task", 0.1 if kind == "tiny_mlp" else 0.0)
+    init_scale = _scalar(tcfg, "init_scale", finite, "task", 0.1 if kind == "tiny_mlp" else 0.0)
     resolved = {"kind": kind, "init_scale": init_scale}
     if kind == "quadratic":
         dim = _scalar(tcfg, "dimension", integer, "task", 4)
@@ -185,8 +201,8 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
         resolved.update(
             dimension=dim,
             samples_per_device=spd,
-            center_spread=_scalar(tcfg, "center_spread", float, "task", 1.0),
-            sample_spread=_scalar(tcfg, "sample_spread", float, "task", 0.1),
+            center_spread=_scalar(tcfg, "center_spread", finite, "task", 1.0),
+            sample_spread=_scalar(tcfg, "sample_spread", finite, "task", 0.1),
             batch_size=_scalar(tcfg, "batch_size", integer, "task", spd),
         )
         task = tasks_mod.make_quadratic_task(
@@ -288,17 +304,16 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
         t_edge = _list(lcfg, "t_edge", float, "latency")
     if len(t_edge) != n_layers - 1:
         raise ConfigError(f"latency.t_edge needs {n_layers - 1} entries, one per inter-edge hop, got {len(t_edge)}")
-    params.t_edge = [float(v) for v in t_edge]
-    return params
+    return replace(params, t_edge=t_edge)  # reruns __post_init__, which checks t_edge
 
 
 @dataclass
 class _Setup:
     """The objects one config resolves to; every subcommand consumes this.
 
-    The fields after `q` stay None when `_setup` stops early: measure-q
-    resolves nothing past `q`, optimize nothing past `lat`, and
-    compare-depths leaves `sched` and `optimizer` to `_schedule`, per depth.
+    The fields after `lat` stay None when `_setup` stops early: optimize
+    resolves nothing past `lat`, and compare-depths leaves `sched` and
+    `optimizer` to `_schedule`, per depth.
     """
 
     seed: int
@@ -308,8 +323,8 @@ class _Setup:
     task_resolved: dict
     quantizers: list[quant_mod.QuantizerSpec]
     q: list[float]
-    alpha: float | None = None
-    lat: latency_mod.LatencyParams | None = None
+    alpha: float
+    lat: latency_mod.LatencyParams
     lr: float | None = None
     weighted: bool | None = None
     theory: dict | None = None
@@ -357,22 +372,20 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     task, pool, task_resolved = _build_task(cfg, topo, seed)
     quantizers = _build_quantizers(cfg, topo.num_layers)
     q = [quant_mod.measure_q(spec, task.dim) for spec in quantizers]
-    s = _Setup(seed, topo, task, pool, task_resolved, quantizers, q)
-    if command == "measure-q":
-        return s
     scfg = _section(cfg, "schedule")
-    s.alpha = _scalar(cfg, "alpha", float, default=0.5)
-    s.lat = _build_latency(cfg, topo, task, seed, _scalar(scfg, "rounds", integer, "schedule"))
+    alpha = _scalar(cfg, "alpha", finite, default=0.5)
+    lat = _build_latency(cfg, topo, task, seed, _scalar(scfg, "rounds", integer, "schedule"))
+    s = _Setup(seed, topo, task, pool, task_resolved, quantizers, q, alpha, lat)
     if command == "optimize":
         return s
     s.lr = _scalar(cfg, "lr", float)
     if not 0.0 < s.lr < math.inf:
         raise ConfigError(f"lr must be positive and finite, got {s.lr}")
-    s.weighted = bool(cfg.get("weighted", False))
+    s.weighted = _flag(cfg, "weighted")
     s.theory = _section(cfg, "theory", required=False)
     for k in _THEORY_CONSTANTS:
         if s.theory.get(k) is not None:
-            s.theory[k] = _scalar(s.theory, k, float, "theory")
+            s.theory[k] = _scalar(s.theory, k, finite, "theory")
     scale = task_resolved["init_scale"]
     s.w0 = scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim) if scale else np.zeros(task.dim)
     if command == "compare-depths":
@@ -385,7 +398,7 @@ def _schedule(s: _Setup, scfg: dict, taus: list[int] | None = None) -> _Setup:
     """s with its schedule set: `taus` (compare.taus.<depth>) when given, else
     the schedule section's taus, or the GP optimizer's when it sets optimize."""
     key = "schedule.taus" if taus is None else f"compare.taus.{s.topo.num_layers}"
-    if taus is None and scfg.get("optimize", False):
+    if taus is None and _flag(scfg, "optimize", "schedule"):
         s.optimizer = gp_optimizer.optimize(s.objective())
         taus = s.optimizer.taus_integer
     elif taus is None:
@@ -439,7 +452,7 @@ def _json_safe(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -571,10 +584,11 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
 
 
 def _cmd_theory(cfg: dict) -> dict:
-    block = _theory_block(_setup(cfg, "theory"))
+    s = _setup(cfg, "theory")
+    block = _theory_block(s)
     if block is None:
         raise ConfigError("theory needs lipschitz, sigma2 and gap0 from the task or the config")
-    return block
+    return {**block, "q": s.q}
 
 
 def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
@@ -591,19 +605,10 @@ def _cmd_optimize(cfg: dict, oracle: bool, tau_max: int) -> dict:
     return out
 
 
-def _cmd_measure_q(cfg: dict) -> dict:
-    s = _setup(cfg, "measure-q")
-    return {
-        "dimension": s.task.dim,
-        "q": s.q,
-        "levels": [spec.levels if not spec.is_identity else None for spec in s.quantizers],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="hierfed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "theory", "optimize", "compare-depths", "measure-q"):
+    for name in ("run", "theory", "optimize", "compare-depths"):
         p = sub.add_parser(name)
         p.add_argument("config", help="YAML/JSON config file")
         if name == "run":
@@ -623,10 +628,8 @@ def main(argv: list[str] | None = None) -> int:
             result = _cmd_theory(cfg)
         elif args.command == "optimize":
             result = _cmd_optimize(cfg, args.oracle, args.tau_max)
-        elif args.command == "compare-depths":
-            result = compare_depths(cfg, args.depths or None)
         else:
-            result = _cmd_measure_q(cfg)
+            result = compare_depths(cfg, args.depths or None)
         print(json.dumps(_json_safe(result), indent=2, allow_nan=False))
     except engine.Diverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
@@ -634,11 +637,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, gp_optimizer.SearchTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        gp_optimizer.NoFeasiblePoint,
-        gp_optimizer.InfeasibleStart,
-        gp_optimizer.RegimeViolation,
-    ) as exc:
+    except (gp_optimizer.NoFeasiblePoint, gp_optimizer.InfeasibleStart) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except Exception:

@@ -165,7 +165,7 @@ def _g_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
     scale = lat.rounds / lat.deadline
     coeffs = round_coefficients(lat, n)
     exps = [[0.0] * j + [1.0] * (n - j) for j in range(len(coeffs))]
-    return np.array(exps), np.array([math.log(scale * c) for c in coeffs])
+    return np.array(exps), np.array([math.log(scale * c) if c > 0 else -math.inf for c in coeffs])
 
 
 def _posynomial(terms: tuple[np.ndarray, np.ndarray], taus) -> float:

@@ -70,12 +70,18 @@ class LatencyParams:
             "kappa": self.kappa,
         }
         for name, val in positive.items():
-            if val <= 0:
-                raise ValueError(f"{name} must be positive, got {val}")
+            if not 0 < val < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {val}")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0")
-        if min(self.frequencies) <= 0:
-            raise ValueError("device frequencies must be positive")
+        if not all(0 < f < math.inf for f in self.frequencies):
+            raise ValueError(f"device frequencies must be positive and finite, got {self.frequencies}")
+        if not all(0 <= t < math.inf for t in self.t_edge):
+            raise ValueError(f"t_edge entries must be finite and >= 0, got {self.t_edge}")
+        if not math.isfinite(self.path_loss_exp):
+            raise ValueError(f"path_loss_exp must be finite, got {self.path_loss_exp}")
+        if not self.deadline > 0:  # infinite means no deadline
+            raise ValueError(f"deadline must be positive, got {self.deadline}")
 
 
 def compute_tcp(params: LatencyParams) -> float:
@@ -89,11 +95,9 @@ def compute_tde(params: LatencyParams) -> float:
     The effective gain is kappa^(-path_loss_exp) * h.
     """
     h_eff = params.kappa ** (-params.path_loss_exp) * params.channel_gain
-    snr = params.tx_power * h_eff / params.noise_power
-    if snr <= 0:
-        raise NonPositiveRate(f"SNR must be positive, got {snr}")
+    snr = params.tx_power * h_eff / params.noise_power  # >= 0: the inputs are positive
     rate = params.bandwidth * math.log2(1.0 + snr)
-    if rate <= 0:
+    if rate <= 0:  # snr below the roundoff of 1.0, or 0 by underflow
         raise NonPositiveRate("link rate must be positive")
     return params.model_bits / rate
 

@@ -87,35 +87,15 @@ def quantize(spec: QuantizerSpec, x: np.ndarray, rng: np.random.Generator | None
     return out.reshape(x.shape)
 
 
-def expected_error_ratio(spec: QuantizerSpec, x: np.ndarray) -> float:
-    """Exact E||Q(x)-x||^2 / ||x||^2 for a fixed input, by two-point enumeration.
-
-    Coordinates are independent given x, and each zeta_i is a two-outcome
-    random variable with mean s*|x_i|/||x|| and variance p(1-p)/s^2, so the
-    ratio is sum_i p_i(1-p_i) / s^2.
-    """
-    if spec.is_identity:
-        return 0.0
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return 0.0
-    s = spec.levels
-    scaled = np.abs(x) / norm * s
-    lower = np.clip(np.floor(scaled), 0, s - 1)
-    p = scaled - lower
-    return float(np.sum(p * (1.0 - p))) / s**2
-
-
 def measure_q(spec: QuantizerSpec, dimension: int) -> float:
     """Certified relative-variance constant: an upper bound on
     E||Q(x)-x||^2 / ||x||^2 that holds for every nonzero x in R^dimension.
 
     With p_i the upper-level probability of coordinate i, the ratio is
-    sum_i p_i(1-p_i) / s^2 (see expected_error_ratio). Two bounds hold for
-    every x: p(1-p) <= 1/4 gives d/(4s^2), and p_i <= s|x_i|/||x|| with
-    ||x||_1 <= sqrt(d)||x|| gives sqrt(d)/s (the QSGD variance lemma,
-    Alistarh et al., NeurIPS 2017). Returns their minimum; 0 for identity.
+    sum_i p_i(1-p_i) / s^2. Two bounds hold for every x: p(1-p) <= 1/4 gives
+    d/(4s^2), and p_i <= s|x_i|/||x|| with ||x||_1 <= sqrt(d)||x|| gives
+    sqrt(d)/s (the QSGD variance lemma, Alistarh et al., NeurIPS 2017).
+    Returns their minimum; 0 for identity.
     """
     if spec.is_identity:
         return 0.0

@@ -84,6 +84,8 @@ class Task:
     def __init__(self, datasets: list[LocalDataset], batch_size: int):
         self.datasets = datasets
         self.batch_size = int(batch_size)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         if any(ds.size < self.batch_size for ds in datasets):
             raise BatchTooLarge("batch size exceeds a device dataset")
         self.dim = int(np.shape(datasets[0].features)[1])  # one weight per feature

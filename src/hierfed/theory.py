@@ -119,11 +119,25 @@ def _condition_sums(params: TheoryParams) -> tuple[float, float]:
     return math.fsum(sorted(sq_terms)), math.fsum(sorted(lin_terms))
 
 
+def _lip_mu_squared(lip: float, mu: float, *factors: float) -> float:
+    """lip**2 * mu**2 * factors[0] * ..., left to right, where that is finite;
+    past float range (** raises OverflowError) L mu (L mu factors[0] ...),
+    which is 0 when a factor is 0 and finite when only a square overflowed."""
+    try:
+        value = math.prod(factors, start=lip**2 * mu**2)
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    lip_mu = lip * mu
+    return 0.0 if 0.0 in factors else lip_mu * math.prod(factors, start=lip_mu)
+
+
 def condition_lhs(params: TheoryParams) -> float:
     """Left side of the learning-rate condition; the rate bound applies iff >= 0."""
     sq, lin = _condition_sums(params)
     lip, mu = params.lipschitz, params.mu
-    return 1.0 - lip**2 * mu**2 * sq - lip * mu * lin
+    return 1.0 - _lip_mu_squared(lip, mu, sq) - lip * mu * lin
 
 
 def error_bracket(
@@ -161,7 +175,7 @@ def rate_bound(params: TheoryParams, rounds: int) -> tuple[float, float, float]:
     speed = 2.0 * params.gap0 / (mu * rounds * math.prod(taus))
     bracket = error_bracket(taus, topo.layer_sizes[1:-1], topo.n_devices, params.q)
     tail = lip * mu * s2 / topo.n_devices * math.prod(1.0 + x for x in params.q)
-    error = lip**2 * mu**2 / 2.0 * bracket * s2 + tail
+    error = _lip_mu_squared(lip, mu, 0.5, bracket, s2) + tail
     return speed, error, speed + error
 
 

@@ -21,6 +21,7 @@ from hierfed.cli import (
     run_experiment,
 )
 from hierfed.latency import LatencyParams, compute_tde
+from hierfed.quantizer import measure_q, stochastic
 
 
 def quad_config(tmp_path, **overrides):
@@ -615,6 +616,26 @@ class TestMainEntry:
             ("run", {"quantizers": [{"kind": "stochastic_levels", "levels": 4.5}] * 3}, "'levels'"),
             ("compare-depths", {"compare": {"depths": [3], "taus": {3: [2.5, 1, 1]}}}, "compare.taus key 3"),
             ("compare-depths", {"compare": {"depths": [3], "kappas": {2.5: 1.0}}}, "2.5"),
+            # flags take YAML booleans, not strings that read as truthy
+            ("run", {"weighted": "false"}, "'weighted'"),
+            ("run", {"schedule": {"taus": [2, 1, 1], "rounds": 8, "optimize": "false"}}, "'optimize'"),
+            # physical latency values are finite and positive, inter-edge times finite and >= 0
+            ("run", {"latency": {"deadline": 1e9, "frequencies": [math.nan] * 8}}, "frequencies"),
+            ("optimize", {"latency": {"deadline": 1e9, "frequencies": [math.nan] * 8}}, "frequencies"),
+            ("optimize", {"latency": {"deadline": 1e9, "cycles_per_sample": math.nan}}, "cycles_per_sample"),
+            ("optimize", {"latency": {"deadline": 1e9, "tx_power": math.inf}}, "tx_power"),
+            ("run", {"latency": {"deadline": 1e9, "t_edge": [-1.0, 1.0]}}, "t_edge"),
+            ("optimize", {"latency": {"deadline": 1e9, "t_edge": [-1.0, 1.0]}}, "t_edge"),
+            ("run", {"latency": {"deadline": 1e9, "path_loss_exp": math.nan}}, "path_loss_exp"),
+            ("run", {"latency": {"deadline": math.nan}}, "deadline"),
+            # task inputs on which run diverged or theory exited 1
+            ("run", {"task": {"kind": "quadratic", "batch_size": 0}}, "batch_size"),
+            ("theory", {"task": {"kind": "quadratic", "batch_size": 0}}, "batch_size"),
+            ("run", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'"),
+            ("theory", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'"),
+            ("run", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'"),
+            ("theory", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'"),
+            ("theory", {"theory": {"lipschitz": math.inf}}, "'lipschitz'"),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -630,6 +651,11 @@ class TestMainEntry:
             "t_edge_list_too_long", "t_edge_multipliers_too_long",
             "seed_fraction", "seed_inf", "rounds_fraction", "taus_fraction", "levels_fraction",
             "compare_taus_fraction", "kappa_depth_key_fraction",
+            "weighted_string", "optimize_string",
+            "frequencies_nan_run", "frequencies_nan_optimize", "cycles_nan", "tx_power_inf",
+            "t_edge_negative_run", "t_edge_negative_optimize", "path_loss_exp_nan", "deadline_nan",
+            "batch_size_zero_run", "batch_size_zero_theory", "init_scale_nan_run", "init_scale_nan_theory",
+            "center_spread_nan_run", "center_spread_nan_theory", "lipschitz_inf",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -803,6 +829,7 @@ class TestMainEntry:
         assert run_experiment(cfg)["optimizer"] == out
 
     def test_measure_q_subcommand(self, tmp_path, capsys):
+        # theory prints the certified q of each hop beside the theory block
         cfg = quad_config(
             tmp_path,
             quantizers=[
@@ -811,10 +838,15 @@ class TestMainEntry:
                 {"kind": "identity"},
             ],
         )
-        assert main(["measure-q", self.write(tmp_path, cfg)]) == 0
+        path = self.write(tmp_path, cfg)
+        with pytest.raises(SystemExit) as exc:  # no measure-q subcommand: theory prints q
+            main(["measure-q", path])
+        assert exc.value.code == 2
+        assert main(["theory", path]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert out["q"] == [measure_q(stochastic(2), 2), measure_q(stochastic(4), 2), 0.0]
         assert out["q"][0] > out["q"][1] > 0.0 == out["q"][2]
-        assert set(out) == {"dimension", "q", "levels"}
+        assert set(out) == {"q", *run_experiment(cfg)["theory"]}
 
     def test_theory_honours_schedule_optimize(self, tmp_path, capsys):
         cfg = quad_config(
@@ -824,22 +856,60 @@ class TestMainEntry:
         )
         assert main(["theory", self.write(tmp_path, cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == run_experiment(cfg)["theory"]
+        summary = run_experiment(cfg)
+        assert out.pop("q") == summary["config"]["q"]
+        assert out == summary["theory"]
 
-    def test_measure_q_reads_no_schedule_or_latency(self, tmp_path, capsys):
-        cfg = quad_config(tmp_path)
-        del cfg["schedule"], cfg["latency"]
-        assert main(["measure-q", self.write(tmp_path, cfg)]) == 0
-        assert json.loads(capsys.readouterr().out)["dimension"] == 2
+    @pytest.mark.parametrize(
+        "theory, lr, taus, sign",
+        [
+            ({"lipschitz": 1e154}, 0.05, [10, 10, 10], -1.0),  # L^2 mu^2 S overflows to inf
+            ({"lipschitz": 1e200}, 0.05, [2, 1, 1], -1.0),  # lipschitz**2 overflows
+            ({"lipschitz": 1e-200}, 0.05, [2, 1, 1], 1.0),  # max_feasible_mu**2 overflows
+            ({}, 1e200, [2, 1, 1], -1.0),  # lr**2 overflows
+        ],
+        ids=["condition_minus_inf", "lipschitz_huge", "lipschitz_tiny", "lr_huge"],
+    )
+    def test_theory_at_extreme_constants(self, tmp_path, capsys, theory, lr, taus, sign):
+        cfg = quad_config(tmp_path, theory=theory, lr=lr, schedule={"taus": taus, "rounds": 8})
+        path = self.write(tmp_path, cfg)
+        assert main(["theory", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert math.copysign(1.0, float(out["condition_value"])) == sign
+        assert out["bound_applies"] is (sign > 0)
+        assert 0.0 < out["max_feasible_mu"] < math.inf
+        if lr < 1.0:  # lr 1e200 diverges in training
+            assert main(["run", path]) == 0
+            out.pop("q")
+            assert json.loads((tmp_path / "out" / "summary.json").read_text())["theory"] == out
+
+    def test_optimize_with_a_zero_inter_edge_time(self, tmp_path, capsys):
+        cfg = quad_config(
+            tmp_path,
+            schedule={"rounds": 4},
+            latency={"deadline": 4000.0, "cycles_per_sample": 1e7, "t_edge": [0.0, 1.0]},
+        )
+        assert main(["optimize", self.write(tmp_path, cfg), "--oracle", "--tau-max", "12"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_gap"] <= 1.02
 
     def test_readme_example_config(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         cfg = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
         assert cfg["topology"]["layer_sizes"][0] == 96
         path = self.write(tmp_path, cfg)
-        for command in ("measure-q", "theory", "optimize"):
+        outs = {}
+        for command in ("theory", "optimize"):
             assert main([command, path]) == 0, command
-            json.loads(capsys.readouterr().out)
+            outs[command] = json.loads(capsys.readouterr().out)
+        assert outs["theory"]["q"] == [measure_q(stochastic(spec["levels"]), 4) for spec in cfg["quantizers"]]
+
+    def test_readme_cli_block_lists_the_subcommands(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1)
+        assert [line.split()[1] for line in block.splitlines()] == usage.split(",")
 
     def test_readme_library_example(self, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
