@@ -53,6 +53,10 @@ class SearchTooLarge(ValueError):
     """Brute-force grid exceeds the safety cap."""
 
 
+class ZeroRoundLatency(ValueError):
+    """The round latency is zero against the deadline, which then bounds nothing."""
+
+
 class RegimeViolation(ValueError):
     """Closed form requested outside the computation-limited regime."""
 
@@ -403,6 +407,8 @@ def optimize(spec: ObjectiveSpec) -> OptimizerResult:
     n = spec.n_layers
     ones = np.ones(n)
     g_ones = g_value(spec, ones)
+    if g_ones == 0.0:  # G is then 0 at every tau, and log G is -inf
+        raise ZeroRoundLatency("the round latency is zero against the deadline, so the deadline bounds nothing")
     if g_ones > 1.0:
         raise NoFeasiblePoint(f"even tau = 1 misses the deadline (G = {g_ones:.6g})")
     taus: tuple[float, ...] = (1.0,) * n

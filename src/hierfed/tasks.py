@@ -384,6 +384,8 @@ def partition(
     if not 1 <= lo <= hi:
         raise ValueError(f"bad size range [{lo}, {hi}]")
     classes = np.unique(labels)
+    if not classes.size:
+        raise InsufficientPool("the pool holds no samples")
     k = _CASE_CLASSES[case] or len(classes)
     if k > len(classes):
         raise InsufficientPool(f"case {case} needs {k} classes, pool has {len(classes)}")

@@ -61,9 +61,9 @@ class TheoryParams:
             raise ValueError("sigma2, gap0 and q entries must be non-negative")
 
 
-def _layer_maxima(params: TheoryParams) -> list[float]:
+def _layer_maxima(topo: Topology, taus: tuple[int, ...], q: tuple[float, ...]) -> list[float]:
     """Layer-wide maxima of the per-node recursive architecture terms for
-    layers 1..N-1, in one pass up the tree.
+    layers 1..len(taus)-1, in one pass up the tree.
 
     Layer-1 value for a node with subtree count c:
         c * q_2 * tau_1 * tau_2 + q_1 * (1 + q_2) * tau_1.
@@ -71,13 +71,12 @@ def _layer_maxima(params: TheoryParams) -> list[float]:
     child contribution, where "worst" maximizes the child count times the
     child's term (the upper envelope over descent chains).
     """
-    topo, taus, q = params.topology, params.schedule.taus, params.q
     values = [
         topo.subtree_count(1, i) * q[1] * taus[0] * taus[1] + q[0] * (1.0 + q[1]) * taus[0]
         for i in range(topo.layer_sizes[1])
     ]
     maxima = [max(values)]
-    for n in range(2, topo.num_layers):
+    for n in range(2, len(taus)):
         tau_prod = math.prod(taus[: n + 1])
         values = [
             topo.subtree_count(n, node) * q[n] * tau_prod
@@ -95,24 +94,25 @@ def recursion_A(params: TheoryParams, layer: int) -> float:
         raise NeedsTwoLayers("the recursive term needs at least two layers")
     if not 1 <= layer <= n_layers - 1:
         raise LayerOutOfRange(f"layer must be in 1..{n_layers - 1}, got {layer}")
-    return _layer_maxima(params)[layer - 1]
+    return _layer_maxima(params.topology, params.schedule.taus, params.q)[layer - 1]
 
 
 def _condition_sums(params: TheoryParams) -> tuple[float, float]:
     """(S, B) with condition value 1 - L^2 mu^2 S - L mu B; neither depends on mu.
 
-    For N = 1 the architecture terms vanish: S = tau_1 (tau_1 - 1) / 2, B = tau_1.
+    N = 1 is summed as its pass-through embedding, which runs bit-identically:
+    a cloud hop with tau = 1 and q = 0 above the single layer.
     """
-    taus = params.schedule.taus
+    taus, q = params.schedule.taus, params.q
+    if len(taus) == 1:
+        taus, q = (*taus, 1), (*q, 0.0)
     n = len(taus)
     sq_terms = [taus[0] * (taus[0] - 1) / 2.0]
-    if n == 1:
-        return sq_terms[0], float(taus[0])
     for idx in range(1, n):  # layers 2..N
         tau_n = taus[idx]
         sq_terms.append(tau_n * (tau_n - 1) / 2.0 * math.prod(taus[:idx]) ** 2)
-    sq_terms.append(params.q[0] * taus[1] * taus[0] ** 2)
-    arch = _layer_maxima(params)  # arch[k - 1] = recursion_A(params, k)
+    sq_terms.append(q[0] * taus[1] * taus[0] ** 2)
+    arch = _layer_maxima(params.topology, taus, q)  # arch[k - 1] = recursion_A(params, k)
     # architecture terms for layers 1..N-2
     sq_terms += [math.prod(taus[: idx + 2]) * arch[idx - 1] for idx in range(1, n - 1)]
     lin_terms = [math.prod(taus), arch[-1] / params.topology.n_devices]

@@ -126,6 +126,26 @@ class TestCondition:
             a, b = condition_lhs(p), corollary1_condition(p)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
+    def test_one_layer_equals_its_pass_through_embedding(self):
+        # an N = 1 run is bit-identical to the N = 2 run on [n, 1, 1] whose
+        # cloud hop has tau 1 and q 0, so the theory must agree on the two exactly
+        rng = np.random.default_rng(107)
+        for _ in range(500):
+            n_dev, tau, rounds = (int(v) for v in rng.integers(1, 17, size=3))
+            q1 = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 3.0))
+            kw = dict(
+                mu=float(10 ** rng.uniform(-4, 0)),
+                lipschitz=float(10 ** rng.uniform(-1, 1)),
+                sigma2=float(rng.uniform(0.0, 2.0)),
+                gap0=float(rng.uniform(0.0, 3.0)),
+                rounds=rounds,
+            )
+            one = params(build_topology([n_dev, 1], fanouts=[n_dev]), (tau,), (q1,), **kw)
+            two = params(build_topology([n_dev, 1, 1], fanouts=[n_dev, 1]), (tau, 1), (q1, 0.0), **kw)
+            assert condition_lhs(one) == condition_lhs(two)
+            assert max_feasible_mu(one) == max_feasible_mu(two)
+            assert rate_bound(one, rounds) == rate_bound(two, rounds)
+
 
 class TestRateBound:
     def test_speed_vanishes_large_t(self):
