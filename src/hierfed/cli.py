@@ -65,8 +65,8 @@ def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a missing file, a directory, ...
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -114,6 +114,22 @@ def finite(value) -> float:
     return value
 
 
+def fraction(value) -> float:
+    """finite(value) in [0, 1]. The `kind` for holdout_fraction."""
+    value = finite(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{value} is outside [0, 1]")
+    return value
+
+
+def pathname(value) -> str:
+    """value itself when it is a string. The `kind` for path keys: a number
+    is not a path, and 0 is not standard input."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def _list(cfg: dict, key: str, kind, where: str = "config", default=None) -> list:
     """kind(entry) for each entry of the list under `key`; a key with a
     default may be absent. A boolean entry is rejected, not read as 0 or 1."""
@@ -149,7 +165,7 @@ def _flag(cfg: dict, key: str, where: str = "config") -> bool:
 def _build_topology(cfg: dict) -> Topology:
     tcfg = _section(cfg, "topology")
     if "file" in tcfg:
-        tcfg = load_config(tcfg["file"])
+        tcfg = load_config(_scalar(tcfg, "file", pathname, "topology"))
     sizes = _list(tcfg, "layer_sizes", integer, "topology")
     if "fanouts" in tcfg:
         return build_topology(sizes, fanouts=_list(tcfg, "fanouts", integer, "topology"))
@@ -161,12 +177,18 @@ def _build_topology(cfg: dict) -> Topology:
 def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict]:
     """The labeled pool and its resolved config."""
     if "file" in pool_cfg:
+        path = _scalar(pool_cfg, "file", pathname, "task.pool")
         try:
-            raw = np.loadtxt(pool_cfg["file"], delimiter=",", skiprows=1)
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except FileNotFoundError as exc:
-            raise ConfigError(f"task.pool.file not found: {pool_cfg['file']}") from exc
-        feats, labels = raw[:, :-1], raw[:, -1].astype(int)
-        holdout = _scalar(pool_cfg, "holdout_fraction", finite, "task.pool", 0.2)
+            raise ConfigError(f"task.pool.file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read task.pool.file {path}: {exc.strerror}") from exc
+        labels = raw[:, -1]
+        if raw.shape[1] < 2 or not np.all(np.isfinite(labels) & (labels >= 0) & (labels == np.floor(labels))):
+            raise ConfigError(f"task.pool.file {path} must hold feature columns, then whole labels >= 0")
+        feats, labels = raw[:, :-1], labels.astype(int)
+        holdout = _scalar(pool_cfg, "holdout_fraction", fraction, "task.pool", 0.2)
         order = _stream(seed, _TASK_GEN_STREAM, 1).permutation(len(feats))
         n_hold = int(len(feats) * holdout)
         hold, rest = order[:n_hold], order[n_hold:]
@@ -182,7 +204,7 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         "classes": _scalar(syn, "classes", positive_integer, "task.pool.synthetic", 10),
         "dim": _scalar(syn, "dim", positive_integer, "task.pool.synthetic", 8),
         "spread": _scalar(syn, "spread", finite, "task.pool.synthetic", 0.6),
-        "holdout_fraction": _scalar(syn, "holdout_fraction", finite, "task.pool.synthetic", 0.2),
+        "holdout_fraction": _scalar(syn, "holdout_fraction", fraction, "task.pool.synthetic", 0.2),
     }
     pool = tasks_mod.make_blob_pool(
         n_samples=resolved["samples"],
@@ -477,7 +499,7 @@ def _optimizer_block(res: gp_optimizer.OptimizerResult) -> dict:
 
 def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     """Execute one configured run; write metrics.csv and summary.json."""
-    out = output_dir if output_dir is not None else cfg.get("output_dir", ".")
+    out = output_dir if output_dir is not None else _scalar(cfg, "output_dir", pathname, default=".")
     return _run(_setup(cfg), Path(out))[0]
 
 
@@ -496,8 +518,8 @@ def _run(s: _Setup, out: Path) -> tuple[dict, engine.RunMetrics, list[float]]:
         w0=s.w0,
     )
 
-    accuracy = None
-    if s.pool is not None and hasattr(s.task, "accuracy"):
+    accuracy = None  # also when the holdout is empty: its mean accuracy is NaN
+    if s.pool is not None and len(s.pool.holdout_labels) and hasattr(s.task, "accuracy"):
         accuracy = s.task.accuracy(metrics.final_model, s.pool.holdout_features, s.pool.holdout_labels)
 
     elapsed = list(itertools.accumulate([per_round] * metrics.rounds))
@@ -528,6 +550,14 @@ def _run(s: _Setup, out: Path) -> tuple[dict, engine.RunMetrics, list[float]]:
     return summary, metrics, elapsed
 
 
+def _depth(key, where: str) -> int:
+    """integer(key) of a depth key under `where`; a boolean is not depth 0 or 1."""
+    with contextlib.suppress(TypeError, ValueError):
+        if not isinstance(key, bool):
+            return integer(key)
+    raise ConfigError(f"{where} key {key!r} is not a depth")
+
+
 def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     """Run reduced-depth variants of a uniform base tree and tabulate
     rounds/time to a gradient-norm threshold.
@@ -547,15 +577,14 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     threshold = _scalar(ccfg, "threshold", float, "compare", 1e-4)
     kappa_cfg = _section(ccfg, "kappas", "compare", required=False)
     taus_cfg = _section(ccfg, "taus", "compare", required=False)
-    with _config_errors():  # integer() of a key that is not a depth raises ValueError
-        kappas = {integer(k): _scalar(kappa_cfg, k, float, "compare.kappas") for k in kappa_cfg}
-        taus_map = {integer(k): _list(taus_cfg, k, integer, "compare.taus") for k in taus_cfg}
+    kappas = {_depth(k, "compare.kappas"): _scalar(kappa_cfg, k, float, "compare.kappas") for k in kappa_cfg}
+    taus_map = {_depth(k, "compare.taus"): _list(taus_cfg, k, integer, "compare.taus") for k in taus_cfg}
 
     base = _setup(cfg, "compare-depths")
     scfg = _section(cfg, "schedule")
     n = base.topo.num_layers
     rows = []
-    out_dir = Path(cfg.get("output_dir", "."))
+    out_dir = Path(_scalar(cfg, "output_dir", pathname, default="."))
     for depth in depths:
         if depth > n:
             raise ConfigError(f"depth {depth} exceeds the base tree ({n})")

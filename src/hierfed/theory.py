@@ -10,7 +10,9 @@ tau-product terms can span many orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .engine import Schedule
 from .topology import Topology
@@ -63,27 +65,23 @@ class TheoryParams:
 
 def _layer_maxima(topo: Topology, taus: tuple[int, ...], q: tuple[float, ...]) -> list[float]:
     """Layer-wide maxima of the per-node recursive architecture terms for
-    layers 1..len(taus)-1, in one pass up the tree.
+    layers 1..len(taus)-1, one pass per layer over the layer-1 descent chains.
 
     Layer-1 value for a node with subtree count c:
         c * q_2 * tau_1 * tau_2 + q_1 * (1 + q_2) * tau_1.
-    Higher layers combine each node's own quantization term with the worst
-    child contribution, where "worst" maximizes the child count times the
-    child's term (the upper envelope over descent chains).
+    A higher node adds its own quantization term to the worst child's count
+    times that child's term; float rounding is monotone, so that nested max
+    equals, bit for bit, the max of the recursion along each descent chain.
     """
-    values = [
-        topo.subtree_count(1, i) * q[1] * taus[0] * taus[1] + q[0] * (1.0 + q[1]) * taus[0]
-        for i in range(topo.layer_sizes[1])
-    ]
-    maxima = [max(values)]
+    anc = np.arange(topo.layer_sizes[1])  # each chain's node at the current layer
+    count = np.array(topo.subtree_devices[1])
+    values = count * q[1] * taus[0] * taus[1] + q[0] * (1.0 + q[1]) * taus[0]
+    maxima = [float(values.max())]
     for n in range(2, len(taus)):
-        tau_prod = math.prod(taus[: n + 1])
-        values = [
-            topo.subtree_count(n, node) * q[n] * tau_prod
-            + (1.0 + q[n]) * max(topo.subtree_count(n - 1, c) * values[c] for c in topo.children_of(n, node))
-            for node in range(topo.layer_sizes[n])
-        ]
-        maxima.append(max(values))
+        anc = np.array(topo.parents[n - 1])[anc]
+        below, count = count, np.array(topo.subtree_devices[n])[anc]
+        values = count * q[n] * math.prod(taus[: n + 1]) + (1.0 + q[n]) * (below * values)
+        maxima.append(float(values.max()))
     return maxima
 
 
@@ -133,11 +131,13 @@ def _lip_mu_squared(lip: float, mu: float, *factors: float) -> float:
     return 0.0 if 0.0 in factors else lip_mu * math.prod(factors, start=lip_mu)
 
 
+def _condition_value(lip: float, mu: float, sq: float, lin: float) -> float:
+    return 1.0 - _lip_mu_squared(lip, mu, sq) - lip * mu * lin
+
+
 def condition_lhs(params: TheoryParams) -> float:
     """Left side of the learning-rate condition; the rate bound applies iff >= 0."""
-    sq, lin = _condition_sums(params)
-    lip, mu = params.lipschitz, params.mu
-    return 1.0 - _lip_mu_squared(lip, mu, sq) - lip * mu * lin
+    return _condition_value(params.lipschitz, params.mu, *_condition_sums(params))
 
 
 def error_bracket(
@@ -251,9 +251,12 @@ def max_feasible_mu(params: TheoryParams) -> float:
     float's is < 0.
     """
     sq, lin = _condition_sums(params)
-    mu = 2.0 / (params.lipschitz * (lin + math.sqrt(lin * lin + 4.0 * sq)))
-    while condition_lhs(replace(params, mu=mu)) < 0.0:
+    lip = params.lipschitz
+    mu = 2.0 / (lip * (lin + math.sqrt(lin * lin + 4.0 * sq)))
+    if mu <= 0.0:  # the root underflowed; stepping up from 0 would not end
+        raise ValueError(f"the condition's positive root underflows to {mu}")
+    while _condition_value(lip, mu, sq, lin) < 0.0:
         mu = math.nextafter(mu, 0.0)
-    while condition_lhs(replace(params, mu=math.nextafter(mu, math.inf))) >= 0.0:
+    while _condition_value(lip, math.nextafter(mu, math.inf), sq, lin) >= 0.0:
         mu = math.nextafter(mu, math.inf)
     return mu

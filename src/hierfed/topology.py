@@ -38,8 +38,6 @@ class Topology:
             ``layer_sizes[N] == 1`` (cloud).
         parents: ``parents[n][i]`` is the parent index (in layer n+1) of node
             i at layer n, for n = 0..N-1.
-        children: ``children[n][j]`` is the tuple of layer-(n-1) child indices
-            of node j at layer n, for n = 1..N.
         subtree_devices: ``subtree_devices[n][i]`` is the number of layer-0
             descendants of node i at layer n (1 for devices themselves).
         fanouts: per-layer uniform fan-out rule when the tree was built from
@@ -49,7 +47,6 @@ class Topology:
 
     layer_sizes: tuple[int, ...]
     parents: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     subtree_devices: tuple[tuple[int, ...], ...] = field(repr=False)
     fanouts: tuple[int, ...] | None = None
 
@@ -61,10 +58,6 @@ class Topology:
     @property
     def n_devices(self) -> int:
         return self.layer_sizes[0]
-
-    def children_of(self, layer: int, index: int) -> tuple[int, ...]:
-        """Child indices (in layer-1 below) of node `index` at `layer` >= 1."""
-        return self.children[layer - 1][index]
 
     def subtree_count(self, layer: int, index: int) -> int:
         """Number of devices in the subtree rooted at (layer, index)."""
@@ -129,27 +122,19 @@ def build_topology(
                 )
         parent_tuples.append(tuple(int(p) for p in layer_parents))
 
-    children: list[tuple[tuple[int, ...], ...]] = []
-    for n in range(1, len(sizes)):
-        buckets: list[list[int]] = [[] for _ in range(sizes[n])]
-        for i, p in enumerate(parent_tuples[n - 1]):
-            buckets[p].append(i)
-        for j, b in enumerate(buckets):
-            if not b:
-                raise EmptyServer(f"node {j} at layer {n} has no children")
-        children.append(tuple(tuple(b) for b in buckets))
-
-    subtree: list[tuple[int, ...]] = [tuple([1] * sizes[0])]
-    for n in range(1, len(sizes)):
-        subtree.append(
-            tuple(sum(subtree[n - 1][c] for c in children[n - 1][j]) for j in range(sizes[n]))
-        )
+    subtree: list[tuple[int, ...]] = [(1,) * sizes[0]]
+    for n, layer_parents in enumerate(parent_tuples, start=1):
+        up = [0] * sizes[n]
+        for count, p in zip(subtree[-1], layer_parents):
+            up[p] += count
+        if 0 in up:
+            raise EmptyServer(f"node {up.index(0)} at layer {n} has no children")
+        subtree.append(tuple(up))
     assert subtree[-1][0] == sizes[0]
 
     return Topology(
         layer_sizes=sizes,
         parents=tuple(parent_tuples),
-        children=tuple(children),
         subtree_devices=tuple(subtree),
         fanouts=kept_fanouts,
     )

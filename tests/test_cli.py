@@ -293,31 +293,82 @@ class TestEchoRoundTrip:
             assert summaries[0]["theory"]["sources"]
 
 
+def pool_rows(n=600):
+    """A header and n rows of two features and a label in 0..3."""
+    rng = np.random.default_rng(0)
+    rows = ["f0,f1,label"]
+    for _ in range(n):
+        label = int(rng.integers(0, 4))
+        f = rng.normal(size=2) + 3 * label
+        rows.append(f"{f[0]},{f[1]},{label}")
+    return rows
+
+
+def pool_file_config(tmp_path, rows, **pool):
+    pool_file = tmp_path / "pool.csv"
+    pool_file.write_text("\n".join(rows) + "\n")
+    return quad_config(
+        tmp_path,
+        task={
+            "kind": "tiny_mlp",
+            "pool": {"file": str(pool_file), **pool},
+            "partition_case": 3,
+            "size_range": [30, 40],
+            "batch_size": 10,
+            "hidden": 4,
+        },
+        schedule={"taus": [2, 1, 1], "rounds": 4},
+        lr=0.3,
+    )
+
+
 class TestPoolFile:
     def test_csv_pool_loaded(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = ["f0,f1,label"]
-        for _ in range(600):
-            label = int(rng.integers(0, 4))
-            f = rng.normal(size=2) + 3 * label
-            rows.append(f"{f[0]},{f[1]},{label}")
-        pool_file = tmp_path / "pool.csv"
-        pool_file.write_text("\n".join(rows) + "\n")
-        cfg = quad_config(
-            tmp_path,
-            task={
-                "kind": "tiny_mlp",
-                "pool": {"file": str(pool_file)},
-                "partition_case": 3,
-                "size_range": [30, 40],
-                "batch_size": 10,
-                "hidden": 4,
-            },
-            schedule={"taus": [2, 1, 1], "rounds": 4},
-            lr=0.3,
-        )
-        summary = run_experiment(cfg)
+        summary = run_experiment(pool_file_config(tmp_path, pool_rows()))
         assert summary["final_accuracy"] is not None
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (pool_rows(1), "task.pool too small"),  # one data row read as a 1-D array
+            (["label"] + ["1"] * 600, "task.pool.file"),  # no feature column
+            (pool_rows()[:-1] + ["0.5,0.5,-1"], "task.pool.file"),  # tiny_mlp indexed the last class
+            (pool_rows()[:-1] + ["0.5,0.5,1.5"], "task.pool.file"),  # truncated to 1
+            (pool_rows()[:-1] + ["0.5,0.5,nan"], "task.pool.file"),
+        ],
+        ids=["one_row", "labels_only", "negative_label", "fractional_label", "nan_label"],
+    )
+    def test_malformed_pool_exit_two(self, tmp_path, capsys, rows, named):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(pool_file_config(tmp_path, rows)))
+        assert main(["run", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_negative_holdout_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(pool_file_config(tmp_path, pool_rows(), holdout_fraction=-0.5)))
+        assert main(["run", str(path)]) == 2
+        assert "'holdout_fraction'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            {"synthetic": {"samples": 400, "holdout_fraction": 0.0}},
+            {"synthetic": {"samples": 60, "classes": 2, "holdout_fraction": 0.01}},  # int(0.6) = 0 held out
+            {"holdout_fraction": 0.0},  # the file pool, see pool_file_config
+        ],
+        ids=["synthetic_zero", "synthetic_rounds_to_zero", "file_zero"],
+    )
+    def test_empty_holdout_reports_null_accuracy(self, tmp_path, capsys, pool):
+        # the mean accuracy over no samples was NaN, which strict JSON refuses
+        cfg = pool_file_config(tmp_path, pool_rows(), **pool)
+        if "synthetic" in pool:
+            cfg["task"].update(pool=pool, size_range=[2, 4], batch_size=2)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["final_accuracy"] is None
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["final_accuracy"] is None
 
     def test_missing_pool_file_is_a_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -663,6 +714,27 @@ class TestMainEntry:
             # a zero round latency: t_CP = 0, t_DE = 0 (the SNR overflows) and t_edge = 0
             ("optimize", {"schedule": {"rounds": 4}, "latency": ZERO_LATENCY}, "deadline bounds nothing"),
             ("run", {"schedule": {"rounds": 4, "optimize": True}, "latency": ZERO_LATENCY}, "deadline bounds nothing"),
+            # a YAML boolean is not a depth key
+            ("compare-depths", {"compare": {"depths": [1], "taus": {True: [4]}}}, "compare.taus key True"),
+            (
+                "compare-depths",
+                {"compare": {"depths": [1], "taus": {1: [4]}, "kappas": {True: 2.0}}},
+                "compare.kappas key True",
+            ),
+            # path keys take strings: file 0 opened standard input (pytest's capture holds /dev/null there)
+            ("run", {"output_dir": 5}, "'output_dir'"),
+            ("compare-depths", {"output_dir": 5, "compare": {"depths": [3]}}, "'output_dir'"),
+            ("run", {"topology": {"file": 0}}, "'file'"),
+            ("run", {"topology": {"file": True}}, "'file'"),
+            # a directory is not a readable file
+            ("run", {"topology": {"file": "."}}, "cannot read config file ."),
+            ("run", {"task": {"kind": "logistic", "pool": {"file": "."}}}, "cannot read task.pool.file ."),
+            # a holdout fraction lies in [0, 1]
+            (
+                "run",
+                {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "holdout_fraction": -0.5}}}},
+                "'holdout_fraction'",
+            ),
         ],
         ids=[
             "quantizer", "topology", "schedule", "theory", "compare_depths",
@@ -687,6 +759,9 @@ class TestMainEntry:
             "dimension_zero", "samples_per_device_zero", "pool_dim_zero", "classes_zero",
             "hidden_negative", "hidden_zero", "rounds_zero", "holdout_all", "samples_zero",
             "zero_latency_optimize", "zero_latency_run",
+            "compare_taus_bool_key", "compare_kappas_bool_key",
+            "output_dir_number_run", "output_dir_number_compare", "topology_file_zero", "topology_file_bool",
+            "topology_file_directory", "pool_file_directory", "holdout_negative",
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -702,6 +777,10 @@ class TestMainEntry:
         assert main(["run", self.write(tmp_path, quad_config(tmp_path))]) == 1
         err = capsys.readouterr().err
         assert err.startswith("internal error:") and "Traceback" in err and "not aligned" in err
+
+    def test_directory_config_path_exit_two(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}")
 
     def test_unparseable_config_exit_two(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -333,7 +333,7 @@ class TestWeights:
             for hop, column in enumerate(weights, start=1):
                 assert column.shape == (topo.layer_sizes[hop - 1], 1)
                 for node in range(topo.layer_sizes[hop]):
-                    yield sum(column[c, 0] for c in topo.children_of(hop, node))
+                    yield sum(column[c, 0] for c, p in enumerate(topo.parents[hop - 1]) if p == node)
 
         for weighted in (False, True):
             for total in per_parent_sums(_hop_weights(topo, task, weighted, exact=False)):

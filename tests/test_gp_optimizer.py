@@ -290,6 +290,30 @@ class TestTightDeadlines:
         res = optimize(spec)
         assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0
 
+    @pytest.mark.xfail(
+        raises=SubproblemFailure,
+        strict=True,
+        reason="at alpha = 1, J+ is one monomial whose log-sum-exp Hessian is 0, so near the deadline "
+        "the Newton matrix is gc gc^T / c^2 (entries about 7.7e15) plus diag(1/y^2) (about 0.03, "
+        "below half an ulp of 7.7e15): rank one, and LAPACK meets a zero pivot",
+    )
+    def test_alpha_one_singular_newton_instance(self):
+        # the optimize inputs of tests/test_cli.py's quad_config at alpha 1:
+        # "singular Newton system" at every deadline from 1e4 to 1e9; alpha 0.999 solves
+        from hierfed.cli import _setup
+
+        cfg = {
+            "seed": 7,
+            "topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2, 2]},
+            "task": {"kind": "quadratic", "dimension": 2, "samples_per_device": 6, "batch_size": 3},
+            "schedule": {"rounds": 8},
+            "alpha": 1.0,
+            "latency": {"deadline": 1e9},
+        }
+        spec = _setup(cfg, "optimize").objective()
+        res = optimize(spec)
+        assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0
+
 
 class TestInnerSolverBounds:
     @pytest.mark.parametrize(

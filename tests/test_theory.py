@@ -74,6 +74,32 @@ class TestRecursion:
         expected = 2 * q2 * t1 * t2 + q1 * (1 + q2) * t1
         assert recursion_A(p, 1) == pytest.approx(expected, rel=1e-15)
 
+    def test_equals_nested_max_over_children(self):
+        # the per-node recursion, each node's children grouped from parents:
+        # recursion_A takes its layer maxima over descent chains instead, and
+        # float rounding is monotone, so the two agree exactly
+        rng = np.random.default_rng(108)
+        for _ in range(300):
+            n_layers = int(rng.integers(2, 6))
+            topo = random_tree(rng, n_layers)
+            counts = topo.subtree_devices
+            # up to about 1e5 per layer, so tau prefix products pass 2**63
+            taus = tuple(int(v) for v in np.exp(rng.uniform(0.0, 11.5, size=n_layers)).round())
+            q = (0.0,) * n_layers if rng.random() < 0.2 else tuple(rng.uniform(0.0, 3.0, size=n_layers).tolist())
+            p = params(topo, taus, q)
+            values = [c * q[1] * taus[0] * taus[1] + q[0] * (1.0 + q[1]) * taus[0] for c in counts[1]]
+            assert recursion_A(p, 1) == max(values)
+            for n in range(2, n_layers):
+                children = [[] for _ in range(topo.layer_sizes[n])]
+                for c, parent in enumerate(topo.parents[n - 1]):
+                    children[parent].append(c)
+                values = [
+                    counts[n][node] * q[n] * math.prod(taus[: n + 1])
+                    + (1.0 + q[n]) * max(counts[n - 1][c] * values[c] for c in children[node])
+                    for node in range(topo.layer_sizes[n])
+                ]
+                assert recursion_A(p, n) == max(values)
+
     def test_layer_out_of_range(self):
         p = params(FIG1, (1, 1, 1), (0.1, 0.1, 0.1))
         with pytest.raises(LayerOutOfRange):
@@ -307,6 +333,12 @@ class TestMaxFeasibleMu:
         mu = max_feasible_mu(p)
         assert condition_lhs(replace(p, mu=mu)) >= 0.0
         assert condition_lhs(replace(p, mu=math.nextafter(mu, math.inf))) < 0.0
+
+    def test_root_underflow_raises(self):
+        # L (B + sqrt(B^2 + 4S)) overflows, so the root formula gives mu = 0;
+        # stepping up from 0 float by float toward 1e-308 would not end
+        with pytest.raises(ValueError):
+            max_feasible_mu(params(FIG1, (2, 2, 2), (0.0, 0.0, 0.0), lipschitz=1e308))
 
     def test_monotone_in_each_tau(self):
         # raising any single iteration count weakly shrinks the feasible rate
