@@ -114,6 +114,14 @@ def finite(value) -> float:
     return value
 
 
+def non_negative(value) -> float:
+    """finite(value) that is >= 0. The `kind` for spreads."""
+    value = finite(value)
+    if value < 0.0:
+        raise ValueError(f"{value} is below 0")
+    return value
+
+
 def fraction(value) -> float:
     """finite(value) in [0, 1]. The `kind` for holdout_fraction."""
     value = finite(value)
@@ -203,7 +211,7 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         "samples": _scalar(syn, "samples", integer, "task.pool.synthetic", 4000),
         "classes": _scalar(syn, "classes", positive_integer, "task.pool.synthetic", 10),
         "dim": _scalar(syn, "dim", positive_integer, "task.pool.synthetic", 8),
-        "spread": _scalar(syn, "spread", finite, "task.pool.synthetic", 0.6),
+        "spread": _scalar(syn, "spread", non_negative, "task.pool.synthetic", 0.6),
         "holdout_fraction": _scalar(syn, "holdout_fraction", fraction, "task.pool.synthetic", 0.2),
     }
     pool = tasks_mod.make_blob_pool(
@@ -232,8 +240,8 @@ def _build_task(cfg: dict, topo: Topology, seed: int):
         resolved.update(
             dimension=dim,
             samples_per_device=spd,
-            center_spread=_scalar(tcfg, "center_spread", finite, "task", 1.0),
-            sample_spread=_scalar(tcfg, "sample_spread", finite, "task", 0.1),
+            center_spread=_scalar(tcfg, "center_spread", non_negative, "task", 1.0),
+            sample_spread=_scalar(tcfg, "sample_spread", non_negative, "task", 0.1),
             batch_size=_scalar(tcfg, "batch_size", integer, "task", spd),
         )
         task = tasks_mod.make_quadratic_task(

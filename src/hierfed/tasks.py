@@ -223,13 +223,16 @@ def make_quadratic_task(
     batch_size: int | None = None,
 ) -> QuadraticTask:
     """Random quadratic task: device centers a_i plus per-device sample clouds."""
-    datasets = []
-    for _ in range(n_devices):
-        center = rng.normal(0.0, center_spread, size=dim)
-        pts = center + rng.normal(0.0, sample_spread, size=(samples_per_device, dim))
-        datasets.append(LocalDataset(features=pts))
+    for name, spread in (("center_spread", center_spread), ("sample_spread", sample_spread)):
+        if not spread >= 0.0:  # rng.normal's own check, which the block draw skips
+            raise ValueError(f"{name} must be >= 0, got {spread}")
+    # one block in the order per-device rng.normal(0.0, spread) calls draw, each
+    # 0.0 + spread * z on the same stream; the 0.0 + turns a -0.0 into +0.0
+    z = rng.standard_normal((n_devices, 1 + samples_per_device, dim))
+    centers = 0.0 + center_spread * z[:, :1]
+    points = centers + (0.0 + sample_spread * z[:, 1:])
     b = samples_per_device if batch_size is None else batch_size
-    return QuadraticTask(datasets, batch_size=b)
+    return QuadraticTask([LocalDataset(features=pts) for pts in points], batch_size=b)
 
 
 class LogisticTask(Task):
@@ -390,21 +393,21 @@ def partition(
     if k > len(classes):
         raise InsufficientPool(f"case {case} needs {k} classes, pool has {len(classes)}")
 
-    pools = {int(c): list(rng.permutation(np.flatnonzero(labels == c))) for c in classes}
+    pools = {int(c): rng.permutation(np.flatnonzero(labels == c)) for c in classes}
     out = []
     for _ in range(n_devices):
         size = int(rng.integers(lo, hi + 1))
         chosen = rng.choice(classes, size=k, replace=False)
         per_class = np.full(k, size // k)
         per_class[rng.permutation(k)[: size % k]] += 1
-        idx: list[int] = []
+        idx = []
         for c, want in zip(chosen, per_class):
             pool = pools[int(c)]
             if len(pool) < want:
                 raise InsufficientPool(f"class {c} exhausted ({len(pool)} < {want})")
-            idx.extend(pool[:want])
-            del pool[:want]
-        idx_arr = np.sort(np.asarray(idx, dtype=int))
+            idx.append(pool[:want])
+            pools[int(c)] = pool[want:]  # a view: what is left of the permutation
+        idx_arr = np.sort(np.concatenate(idx))
         out.append(LocalDataset(features=features[idx_arr], labels=labels[idx_arr]))
     return out
 

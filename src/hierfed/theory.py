@@ -246,13 +246,14 @@ def max_feasible_mu(params: TheoryParams) -> float:
 
     The condition value 1 - L^2 mu^2 S - L mu B is a downward parabola in mu
     with value 1 at mu = 0 and B >= prod(taus) >= 1, so its positive root
-    2 / (L (B + sqrt(B^2 + 4 S))) always exists; from there the loops step,
-    float by float, to the mu whose condition value is >= 0 and whose next
-    float's is < 0.
+    2 / (L (B + sqrt(B^2 + 4 S))) always exists. It is formed as
+    2 / (B + hypot(B, 2 sqrt(S))) / L, which overflows no intermediate where
+    the root itself is a float; from there the loops step, float by float, to
+    the mu whose condition value is >= 0 and whose next float's is < 0.
     """
     sq, lin = _condition_sums(params)
     lip = params.lipschitz
-    mu = 2.0 / (lip * (lin + math.sqrt(lin * lin + 4.0 * sq)))
+    mu = 2.0 / (lin + math.hypot(lin, 2.0 * math.sqrt(sq))) / lip
     if mu <= 0.0:  # the root underflowed; stepping up from 0 would not end
         raise ValueError(f"the condition's positive root underflows to {mu}")
     while _condition_value(lip, mu, sq, lin) < 0.0:

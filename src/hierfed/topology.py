@@ -64,6 +64,14 @@ class Topology:
         return self.subtree_devices[layer][index]
 
 
+def _whole(values, what: str) -> tuple[int, ...]:
+    """The entries as ints; a fractional or boolean entry is rejected, not truncated."""
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+        raise TopologyError(f"{what} must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
+
+
 def build_topology(
     layer_sizes: list[int] | tuple[int, ...],
     parents: list[list[int]] | None = None,
@@ -78,7 +86,7 @@ def build_topology(
 
     Raises OrphanNode, EmptyServer, or TopologyError on malformed input.
     """
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = _whole(layer_sizes, "layer sizes")
     if len(sizes) < 2:
         raise TopologyError("need at least devices and a cloud layer")
     if any(s < 1 for s in sizes):
@@ -91,36 +99,35 @@ def build_topology(
 
     kept_fanouts: tuple[int, ...] | None = None
     if fanouts is not None:
-        kept_fanouts = tuple(int(f) for f in fanouts)
+        # a fan-out rule that fits the sizes gives in-range parents and no
+        # empty server, so its parents need no per-entry check
+        kept_fanouts = _whole(fanouts, "fanouts")
         if len(kept_fanouts) != len(sizes) - 1:
             raise TopologyError("fanouts must have one entry per aggregation layer")
-        parents = []
         for n, f in enumerate(kept_fanouts):
             if f < 1 or sizes[n] != f * sizes[n + 1]:
                 raise TopologyError(
                     f"fan-out {f} at layer {n} inconsistent with sizes "
                     f"{sizes[n]} -> {sizes[n + 1]}"
                 )
-            parents.append([i // f for i in range(sizes[n])])
-
-    assert parents is not None
-    if len(parents) != len(sizes) - 1:
-        raise TopologyError("parents must cover every non-cloud layer")
-
-    parent_tuples: list[tuple[int, ...]] = []
-    for n, layer_parents in enumerate(parents):
-        if len(layer_parents) != sizes[n]:
-            raise OrphanNode(
-                f"layer {n}: {len(layer_parents)} parent entries for {sizes[n]} nodes"
-            )
-        for i, p in enumerate(layer_parents):
-            if not isinstance(p, numbers.Integral) or isinstance(p, bool):
-                raise OrphanNode(f"node {i} at layer {n} has non-integer parent {p!r}")
-            if not 0 <= p < sizes[n + 1]:
+        parent_tuples = [tuple(i // f for i in range(sizes[n])) for n, f in enumerate(kept_fanouts)]
+    else:
+        if len(parents) != len(sizes) - 1:
+            raise TopologyError("parents must cover every non-cloud layer")
+        parent_tuples = []
+        for n, layer_parents in enumerate(parents):
+            if len(layer_parents) != sizes[n]:
                 raise OrphanNode(
-                    f"node {i} at layer {n} names parent {p} outside layer {n + 1}"
+                    f"layer {n}: {len(layer_parents)} parent entries for {sizes[n]} nodes"
                 )
-        parent_tuples.append(tuple(int(p) for p in layer_parents))
+            for i, p in enumerate(layer_parents):
+                if not isinstance(p, numbers.Integral) or isinstance(p, bool):
+                    raise OrphanNode(f"node {i} at layer {n} has non-integer parent {p!r}")
+                if not 0 <= p < sizes[n + 1]:
+                    raise OrphanNode(
+                        f"node {i} at layer {n} names parent {p} outside layer {n + 1}"
+                    )
+            parent_tuples.append(tuple(int(p) for p in layer_parents))
 
     subtree: list[tuple[int, ...]] = [(1,) * sizes[0]]
     for n, layer_parents in enumerate(parent_tuples, start=1):

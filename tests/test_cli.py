@@ -49,6 +49,15 @@ def quad_config(tmp_path, **overrides):
     return cfg
 
 
+def load_strict_json(path):
+    """json.loads that refuses NaN and +-Infinity, which are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestRunExperiment:
     def test_metrics_shape_and_monotone_time(self, tmp_path):
         cfg = quad_config(tmp_path)
@@ -690,6 +699,10 @@ class TestMainEntry:
             ("run", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'"),
             ("theory", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'"),
             ("theory", {"theory": {"lipschitz": math.inf}}, "'lipschitz'"),
+            # spreads are >= 0: numpy's "scale < 0" named no key
+            ("run", {"task": {"kind": "quadratic", "center_spread": -0.5}}, "'center_spread'"),
+            ("theory", {"task": {"kind": "quadratic", "sample_spread": -0.5}}, "'sample_spread'"),
+            ("run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "spread": -0.5}}}}, "'spread'"),
             # YAML booleans are not numbers
             ("run", {"seed": True}, "'seed'"),
             ("run", {"schedule": {"taus": [True, 1, 1], "rounds": 8}}, "'taus'"),
@@ -755,6 +768,7 @@ class TestMainEntry:
             "t_edge_negative_run", "t_edge_negative_optimize", "path_loss_exp_nan", "deadline_nan",
             "batch_size_zero_run", "batch_size_zero_theory", "init_scale_nan_run", "init_scale_nan_theory",
             "center_spread_nan_run", "center_spread_nan_theory", "lipschitz_inf",
+            "center_spread_negative", "sample_spread_negative", "pool_spread_negative",
             "seed_bool", "taus_bool", "alpha_bool", "lr_bool", "frequencies_bool",
             "dimension_zero", "samples_per_device_zero", "pool_dim_zero", "classes_zero",
             "hidden_negative", "hidden_zero", "rounds_zero", "holdout_all", "samples_zero",
@@ -1018,6 +1032,18 @@ class TestMainEntry:
             assert main([command, path]) == 0, command
             outs[command] = json.loads(capsys.readouterr().out)
         assert outs["theory"]["q"] == [measure_q(stochastic(spec["levels"]), 4) for spec in cfg["quantizers"]]
+        out = tmp_path / "readme_run"
+        assert main(["run", path, "--output-dir", str(out)]) == 0
+        summary = load_strict_json(out / "summary.json")
+        assert summary["config"]["schedule"]["rounds"] == cfg["schedule"]["rounds"]
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 1 + cfg["schedule"]["rounds"]
+
+    def test_theory_with_a_huge_lipschitz(self, tmp_path, capsys):
+        # L (B + sqrt(B^2 + 4S)) passes float range; the largest feasible lr does not
+        assert main(["theory", self.write(tmp_path, quad_config(tmp_path, theory={"lipschitz": 1e308}))]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0.0 < out["max_feasible_mu"] < 1e-308 and out["bound_applies"] is False
 
     def test_readme_cli_block_lists_the_subcommands(self, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

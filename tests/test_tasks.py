@@ -565,3 +565,96 @@ class TestPartition:
         parts = partition(pool.features, pool.labels, 5, 3, (40, 50), np.random.default_rng(21))
         seen = [tuple(row) for p in parts for row in p.features]
         assert len(seen) == len(set(seen))
+
+
+# The per-device draw and the list-based partition as they were before the
+# block draw and the array slices: oracles for the bytes of every dataset.
+def reference_make_quadratic_task(
+    n_devices, dim, rng, center_spread=1.0, sample_spread=0.1, samples_per_device=8, batch_size=None
+):
+    datasets = []
+    for _ in range(n_devices):
+        center = rng.normal(0.0, center_spread, size=dim)
+        pts = center + rng.normal(0.0, sample_spread, size=(samples_per_device, dim))
+        datasets.append(LocalDataset(features=pts))
+    b = samples_per_device if batch_size is None else batch_size
+    return QuadraticTask(datasets, batch_size=b)
+
+
+def reference_partition(features, labels, n_devices, case, size_range, rng):
+    lo, hi = int(size_range[0]), int(size_range[1])
+    classes = np.unique(labels)
+    k = {1: 2, 2: 6, 3: None}[case] or len(classes)
+    pools = {int(c): list(rng.permutation(np.flatnonzero(labels == c))) for c in classes}
+    out = []
+    for _ in range(n_devices):
+        size = int(rng.integers(lo, hi + 1))
+        chosen = rng.choice(classes, size=k, replace=False)
+        per_class = np.full(k, size // k)
+        per_class[rng.permutation(k)[: size % k]] += 1
+        idx: list[int] = []
+        for c, want in zip(chosen, per_class):
+            pool = pools[int(c)]
+            if len(pool) < want:
+                raise InsufficientPool(f"class {c} exhausted ({len(pool)} < {want})")
+            idx.extend(pool[:want])
+            del pool[:want]
+        idx_arr = np.sort(np.asarray(idx, dtype=int))
+        out.append(LocalDataset(features=features[idx_arr], labels=labels[idx_arr]))
+    return out
+
+
+class TestQuadraticBlockDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize(
+        "n_devices, dim, samples, center_spread, sample_spread",
+        [
+            (96, 4, 8, 0.5, 0.1),
+            (5, 1, 1, 1.0, 0.1),  # dim 1, one sample per device
+            (7, 3, 4, 0.0, 0.0),  # zero spreads: every point a signed zero times z
+            (3, 2, 5, 0.0, 0.7),
+            (4, 6, 2, 2.5, 0.0),
+            (1, 1, 1, 1e-300, 1e300),
+        ],
+    )
+    def test_bytes_equal_per_device_draws(self, seed, n_devices, dim, samples, center_spread, sample_spread):
+        args = (n_devices, dim)
+        kw = dict(center_spread=center_spread, sample_spread=sample_spread, samples_per_device=samples)
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = make_quadratic_task(*args, rng_new, **kw)
+        ref = reference_make_quadratic_task(*args, rng_ref, **kw)
+        assert new.batch_size == ref.batch_size and new.n_devices == ref.n_devices
+        for a, b in zip(new.datasets, ref.datasets):
+            assert_same_bits(a.features, b.features)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state  # the same draws consumed
+
+    @pytest.mark.parametrize("key", ["center_spread", "sample_spread"])
+    def test_negative_spread_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            make_quadratic_task(3, 2, np.random.default_rng(0), **{key: -0.5})
+
+
+class TestPartitionArrays:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_bytes_equal_list_partition(self, seed, case):
+        pool = make_blob_pool(3000, 10, 3, np.random.default_rng(seed))
+        args = (pool.features, pool.labels, 12, case, (20, 60))
+        rng_new, rng_ref = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        new, ref = partition(*args, rng_new), reference_partition(*args, rng_ref)
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            assert_same_bits(a.features, b.features)
+            assert_same_bits(a.labels, b.labels)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_exhausted_class_same_message(self, seed, case):
+        pool = make_blob_pool(400, 10, 2, np.random.default_rng(seed))
+        args = (pool.features, pool.labels, 40, case, (15, 40))
+        with pytest.raises(InsufficientPool) as new:
+            partition(*args, np.random.default_rng(seed))
+        with pytest.raises(InsufficientPool) as ref:
+            reference_partition(*args, np.random.default_rng(seed))
+        assert "exhausted" in str(new.value) and str(new.value) == str(ref.value)

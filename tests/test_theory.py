@@ -334,11 +334,21 @@ class TestMaxFeasibleMu:
         assert condition_lhs(replace(p, mu=mu)) >= 0.0
         assert condition_lhs(replace(p, mu=math.nextafter(mu, math.inf))) < 0.0
 
+    def test_root_with_an_overflowing_product(self):
+        # L (B + sqrt(B^2 + 4S)) passes float range here, but the root, about
+        # 1e-309, is a subnormal float; the loops land on it as anywhere else
+        p = params(FIG1, (2, 2, 2), (0.0, 0.0, 0.0), lipschitz=1e308)
+        mu = max_feasible_mu(p)
+        assert 0.0 < mu < 1e-308
+        assert condition_lhs(replace(p, mu=mu)) >= 0.0
+        assert condition_lhs(replace(p, mu=math.nextafter(mu, math.inf))) < 0.0
+
     def test_root_underflow_raises(self):
-        # L (B + sqrt(B^2 + 4S)) overflows, so the root formula gives mu = 0;
-        # stepping up from 0 float by float toward 1e-308 would not end
-        with pytest.raises(ValueError):
-            max_feasible_mu(params(FIG1, (2, 2, 2), (0.0, 0.0, 0.0), lipschitz=1e308))
+        # B is about 1e18 and S about 5e35, so the root 2 / (L (B + sqrt(B^2 + 4S)))
+        # is about 7e-327, below half the smallest subnormal: it rounds to 0,
+        # and stepping up from 0 float by float would not end
+        with pytest.raises(ValueError, match="underflows"):
+            max_feasible_mu(params(FIG1, (10**6,) * 3, (0.0, 0.0, 0.0), lipschitz=1e308))
 
     def test_monotone_in_each_tau(self):
         # raising any single iteration count weakly shrinks the feasible rate

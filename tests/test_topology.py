@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +58,21 @@ class TestBuild:
         with pytest.raises(TopologyError):
             build_topology([4, 2], parents=[[0, 0, 1, 1]])
 
+    @pytest.mark.parametrize(
+        "sizes, fanouts",
+        [
+            ([4, 2, 1], [2.9, 2]),  # was built as fan-out 2
+            ([4.7, 2, 1], [2, 2]),  # was built with 4 devices
+            ([4, 2, 1], [2.0, 2]),
+            ([2, 1, 1], [2, True]),  # was read as fan-out 1
+            ([True, 1], [1]),
+        ],
+    )
+    def test_fractional_or_boolean_counts_rejected(self, sizes, fanouts):
+        # the rule the parents path already applies to its entries
+        with pytest.raises(TopologyError, match="must be integers"):
+            build_topology(sizes, fanouts=fanouts)
+
 
 class TestReduceDepth:
     def test_vi_reduction_examples(self):
@@ -99,6 +116,29 @@ def ragged_trees(draw):
         parents.insert(0, draw(st.permutations(list(range(up)) + extra)))
         sizes.insert(0, len(parents[0]))
     return sizes, parents
+
+
+@st.composite
+def fanout_trees(draw):
+    """layer_sizes and fanouts of a depth 1-5 uniform tree with fan-outs 1-4."""
+    fanouts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    sizes = [1]
+    for f in reversed(fanouts):
+        sizes.insert(0, sizes[0] * f)
+    return sizes, fanouts
+
+
+class TestFanoutTrees:
+    @settings(max_examples=200, deadline=None)
+    @given(fanout_trees())
+    def test_equals_tree_built_from_its_parents(self, tree):
+        # a fan-out tree skips the per-entry parent checks: it must be the
+        # tree those checks accept from the same parents
+        sizes, fanouts = tree
+        t = build_topology(sizes, fanouts=fanouts)
+        assert t.parents == tuple(tuple(i // f for i in range(sizes[n])) for n, f in enumerate(fanouts))
+        assert replace(build_topology(sizes, parents=[list(p) for p in t.parents]), fanouts=t.fanouts) == t
+        assert all(type(p) is int for layer in t.parents for p in layer)
 
 
 class TestCountsAndInvariants:

@@ -1,0 +1,151 @@
+"""Check that this source tree writes the same artifacts as a parent checkout.
+
+Usage, from anywhere:
+
+    python3 tools/identical_artifacts.py PARENT_CHECKOUT
+
+PARENT_CHECKOUT is the root of another checkout (a `git archive` or
+`git clone` of the parent commit), holding `src/hierfed`. The script runs
+`hierfed run`, `theory`, `optimize` and `compare-depths --depths N` (N the
+config's own depth) on each config below, once with this tree's `src` and
+once with the parent's, every invocation in its own subprocess with that
+tree's `src` first on PYTHONPATH and BLAS pinned to one thread. The configs:
+
+* the README example config, plus `compare-depths --depths 6 3 2 1` on it
+  with per-depth taus;
+* perfbench's `quadratic_deep_config` and `tiny_mlp_config`, tiny true and
+  false, seeds 12345, 7 and 99, `weighted` false and true;
+* one logistic variant of the tiny `tiny_mlp_config`.
+
+For each invocation it compares the exit code, stdout, stderr (with each
+tree's path masked) and the bytes of every file written. It prints each
+difference and exits 1 if there is any, else 0. It takes a few minutes on a
+2-vCPU machine, and it does not run in CI, because it needs a second tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import yaml  # noqa: E402
+
+from workloads import quadratic_deep_config, tiny_mlp_config  # noqa: E402
+
+COMMANDS = ("run", "theory", "optimize", "compare-depths")
+SEEDS = (12345, 7, 99)
+THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def readme_config() -> dict:
+    text = (ROOT / "README.md").read_text()
+    return yaml.safe_load(re.search(r"```yaml\n(.*?)```", text, re.S).group(1))
+
+
+def configs() -> dict[str, dict]:
+    """Every config by name; each is run under all of COMMANDS."""
+    out = {"readme": readme_config()}
+    for name, make in (("quadratic_deep", quadratic_deep_config), ("tiny_mlp", tiny_mlp_config)):
+        for tiny in (True, False):
+            for seed in SEEDS:
+                for weighted in (False, True):
+                    out[f"{name}-tiny{int(tiny)}-seed{seed}-w{int(weighted)}"] = {
+                        **make(seed, tiny=tiny),
+                        "weighted": weighted,
+                    }
+    logistic = tiny_mlp_config(SEEDS[0], tiny=True)
+    logistic["task"] = {k: v for k, v in logistic["task"].items() if k != "hidden"}
+    logistic["task"]["kind"] = "logistic"
+    out["logistic"] = logistic
+    return out
+
+
+def invocations() -> list[tuple[str, dict, list[str]]]:
+    """(name, config, CLI arguments after the config path) of every call."""
+    calls = []
+    for name, cfg in configs().items():
+        cfg = {**cfg, "output_dir": "out"}
+        depth = len(cfg["topology"]["layer_sizes"]) - 1
+        for command in COMMANDS:
+            extra = ["--depths", str(depth)] if command == "compare-depths" else []
+            calls.append((f"{name}/{command}", cfg, [command, "config.yaml", *extra]))
+    depths = readme_config()
+    depths.update(output_dir="out", compare={"taus": {1: [80], 2: [10, 8], 3: [10, 2, 4]}})
+    calls.append(("readme/compare-depths-6321", depths, ["compare-depths", "config.yaml", "--depths", "6", "3", "2", "1"]))
+    return calls
+
+
+def run_tree(src: Path, work: Path, calls) -> dict[str, tuple]:
+    """Each call's (exit code, stdout, masked stderr, {file: bytes}) on one tree."""
+    env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(THREAD_PINS, "1")}
+    where = subprocess.run(
+        [sys.executable, "-c", "import hierfed; print(hierfed.__file__)"],
+        cwd=src.parent, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if Path(where).resolve().parent != (src / "hierfed").resolve():
+        sys.exit(f"identical_artifacts: {src} imports hierfed from {where}")
+    results = {}
+    for name, cfg, args in calls:
+        cwd = work / name
+        cwd.mkdir(parents=True)
+        (cwd / "config.yaml").write_text(yaml.safe_dump(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierfed.cli", *args], cwd=cwd, env=env, capture_output=True
+        )
+        files = {
+            str(p.relative_to(cwd)): p.read_bytes()
+            for p in sorted(cwd.rglob("*"))
+            if p.is_file() and p.name != "config.yaml"
+        }
+        stderr = proc.stderr.replace(str(src.parent).encode(), b"<tree>")
+        results[name] = (proc.returncode, proc.stdout, stderr, files)
+    return results
+
+
+def differences(ours: dict, theirs: dict) -> list[str]:
+    diffs = []
+    for name, (code, out, err, files) in ours.items():
+        p_code, p_out, p_err, p_files = theirs[name]
+        if code != p_code:
+            diffs.append(f"{name}: exit code {p_code} -> {code}")
+        if out != p_out:
+            diffs.append(f"{name}: stdout differs")
+        if err != p_err:
+            diffs.append(f"{name}: stderr differs")
+        for path in sorted(files.keys() | p_files.keys()):
+            if files.get(path) != p_files.get(path):
+                diffs.append(f"{name}: {path} differs")
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    args = parser.parse_args(argv)
+    parent_src = args.parent.resolve() / "src"
+    if not (parent_src / "hierfed" / "__init__.py").is_file():
+        parser.error(f"no hierfed sources under {parent_src}")
+    calls = invocations()
+    with tempfile.TemporaryDirectory() as tmp:
+        ours = run_tree(ROOT / "src", Path(tmp) / "change", calls)
+        theirs = run_tree(parent_src, Path(tmp) / "parent", calls)
+    diffs = differences(ours, theirs)
+    codes = sorted({code for code, *_ in ours.values()})
+    counts = ", ".join(f"{sum(r[0] == c for r in ours.values())} exit {c}" for c in codes)
+    print(f"{len(calls)} invocations per tree ({counts}); {len(diffs)} differences")
+    for line in diffs:
+        print(line)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
