@@ -232,7 +232,7 @@ def make_quadratic_task(
     centers = 0.0 + center_spread * z[:, :1]
     points = centers + (0.0 + sample_spread * z[:, 1:])
     b = samples_per_device if batch_size is None else batch_size
-    return QuadraticTask([LocalDataset(features=pts) for pts in points], batch_size=b)
+    return QuadraticTask(list(map(LocalDataset, points)), batch_size=b)
 
 
 class LogisticTask(Task):
