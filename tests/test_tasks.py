@@ -567,8 +567,8 @@ class TestPartition:
         assert len(seen) == len(set(seen))
 
 
-# The per-device draw and the list-based partition as they were before the
-# block draw and the array slices: oracles for the bytes of every dataset.
+# make_quadratic_task as one rng.normal pair per device, and partition on
+# Python lists: oracles for the bytes of every dataset.
 def reference_make_quadratic_task(
     n_devices, dim, rng, center_spread=1.0, sample_spread=0.1, samples_per_device=8, batch_size=None
 ):
