@@ -14,8 +14,8 @@ what remains is minimizing a convex log-sum-exp expression over
 standard log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3;
 see _solve_inner), so no external solver is needed. t starts where the start
 point is most nearly central, one relative tolerance of 1e-10 ends centering
-and the phases, each Newton iterate is evaluated once (line-search trial
-points for values only), and a bound exceeded raises SubproblemFailure.
+and the phases, every trial point is evaluated once, in full, an accepted
+one is not evaluated again, and a bound exceeded raises SubproblemFailure.
 """
 
 from __future__ import annotations
@@ -197,20 +197,27 @@ def g_value(spec: ObjectiveSpec, taus) -> float:
 
 
 def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
-    """log-sum-exp value, gradient, Hessian of a posynomial in log variables."""
-    z = exps @ y + logc
-    m = float(z.max())
-    w = np.exp(z - m)
-    total = float(w.sum())
+    """log-sum-exp value, gradient, Hessian of a posynomial in log variables.
+
+    Shifts, exponentiates and normalizes in place, and reduces with the
+    ufuncs that ndarray.max and .sum call: the same arithmetic as
+    _lse_value's, with fewer temporaries and calls."""
+    z = exps @ y
+    z += logc
+    m = float(np.maximum.reduce(z))
+    z -= m
+    np.exp(z, out=z)
+    total = float(np.add.reduce(z))
     value = m + math.log(total)
-    pi = w / total
+    z /= total
+    pi = z
     grad = exps.T @ pi
     hess = exps.T @ (pi[:, None] * exps) - grad[:, None] * grad[None, :]
     return value, grad, hess
 
 
 def _lse_value(exps: np.ndarray, logc: np.ndarray, y: np.ndarray) -> float:
-    """log-sum-exp value alone, for line-search trial points."""
+    """log-sum-exp value alone, for agma_step's delta at its two candidates."""
     z = exps @ y + logc
     m = float(z.max())
     return m + math.log(float(np.exp(z - m).sum()))
@@ -250,27 +257,22 @@ def _solve_inner(
     t0 = -<grad f, H^-1 grad phi> / <grad f, H^-1 grad f>, H = hess phi(y0),
     makes y0 most nearly central (Boyd & Vandenberghe 11.3.1); it is 1 if
     that is smaller or the denominator is not finite and positive. The line
-    search evaluates values only: it halves the step until the trial point is
-    strictly feasible and, while lambda^2/2 > _FULL_STEP, until it also
-    passes the Armijo test; closer to the center, where the decrease drops
-    below the roundoff of the barrier value, the whole step is taken. Each
-    point is evaluated once (LSE values, gradients, Hessians), at y0 and at
-    each accepted step, for all phases. y0 must be strictly feasible. Returns
+    search halves the step until the trial point is strictly feasible and,
+    while lambda^2/2 > _FULL_STEP, until it also passes the Armijo test;
+    closer to the center, where the decrease drops below the roundoff of the
+    barrier value, the whole step is taken. Every trial point is evaluated
+    once, in full (LSE value, gradient and Hessian): the deadline table at
+    each positive one, the objective table where that is feasible, and the
+    solver keeps the accepted point's results, so y0 and each accepted point
+    are evaluated once for all phases. y0 must be strictly feasible. Returns
     the optimal y and the Newton step count; raises SubproblemFailure rather
     than return an unconverged point.
     """
     m = len(y0) + 1
     y = y0.copy()
-
-    def barrier_value(yv: np.ndarray, t: float, c: float) -> float:
-        f = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv)
-        return t * f - math.log(-c) - float(np.log(yv).sum())
-
-    def evaluate(yv: np.ndarray):
-        r, gr, hr = _lse(obj_exps, obj_logc, yv)
-        return r - float(lin @ yv), gr, hr, *_lse(g_exps, g_logc, yv)
-
-    f, gr, hr, c, gc, hc = evaluate(y)
+    f, gr, hr = _lse(obj_exps, obj_logc, y)
+    f -= float(lin @ y)
+    c, gc, hc = _lse(g_exps, g_logc, y)
     h_grad_f = np.linalg.solve(-hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2), gr - lin)
     den = float((gr - lin) @ h_grad_f)
     t = max(float((gc / c + 1.0 / y) @ h_grad_f) / den, 1.0) if 0.0 < den < math.inf else 1.0
@@ -292,16 +294,20 @@ def _solve_inner(
             alpha = 1.0
             for _ in range(_MAX_BACKTRACK):
                 cand = y + alpha * step
-                c_cand = _lse_value(g_exps, g_logc, cand) if (cand > 0.0).all() else 0.0
-                if c_cand < 0.0 and (
-                    not damped or barrier_value(cand, t, c_cand) <= value - _ARMIJO * alpha * lam2
-                ):
-                    break
+                if (cand > 0.0).all():
+                    c_cand, gc_cand, hc_cand = _lse(g_exps, g_logc, cand)
+                    if c_cand < 0.0:
+                        f_cand, gr_cand, hr_cand = _lse(obj_exps, obj_logc, cand)
+                        f_cand -= float(lin @ cand)
+                        if not damped or (
+                            t * f_cand - math.log(-c_cand) - float(np.log(cand).sum())
+                            <= value - _ARMIJO * alpha * lam2
+                        ):
+                            break
                 alpha *= 0.5
             else:
                 raise SubproblemFailure(f"line search stalled at t = {t:.3g}")
-            y = cand
-            f, gr, hr, c, gc, hc = evaluate(y)
+            y, f, gr, hr, c, gc, hc = cand, f_cand, gr_cand, hr_cand, c_cand, gc_cand, hc_cand
             steps += 1
         else:
             raise SubproblemFailure(f"centering took over {_MAX_NEWTON} Newton steps at t = {t:.3g}")

@@ -10,6 +10,7 @@ tau-product terms can span many orders of magnitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +119,17 @@ def _condition_sums(params: TheoryParams) -> tuple[float, float]:
 
 
 def _lip_mu_squared(lip: float, mu: float, *factors: float) -> float:
-    """lip**2 * mu**2 * factors[0] * ..., left to right, where that is finite;
-    past float range (** raises OverflowError) L mu (L mu factors[0] ...),
-    which is 0 when a factor is 0 and finite when only a square overflowed."""
+    """lip**2 * mu**2 * factors[0] * ..., left to right, where both squares
+    are normal floats and the product is finite; otherwise L mu (L mu
+    factors[0] ...). Past float range (** raises OverflowError) that is 0
+    when a factor is 0 and finite when only a square overflowed; below it it
+    keeps the digits a subnormal or zero square would have lost."""
     try:
-        value = math.prod(factors, start=lip**2 * mu**2)
+        lip2, mu2 = lip**2, mu**2
     except OverflowError:
-        value = math.inf
-    if value < math.inf:
+        lip2 = mu2 = math.inf
+    value = math.prod(factors, start=lip2 * mu2)
+    if value < math.inf and min(lip2, mu2) >= sys.float_info.min:
         return value
     lip_mu = lip * mu
     return 0.0 if 0.0 in factors else lip_mu * math.prod(factors, start=lip_mu)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from hierfed.cli import (
 )
 from hierfed.latency import LatencyParams, compute_tde
 from hierfed.quantizer import measure_q, stochastic
+from hierfed.theory import TheoryParams, condition_lhs
 
 
 ZERO_LATENCY = {"deadline": 4000, "batch_size": 0, "tx_power": 1e300, "channel_gain": 1e300, "t_edge": [0, 0]}
@@ -1044,6 +1046,20 @@ class TestMainEntry:
         assert main(["theory", self.write(tmp_path, quad_config(tmp_path, theory={"lipschitz": 1e308}))]) == 0
         out = json.loads(capsys.readouterr().out)
         assert 0.0 < out["max_feasible_mu"] < 1e-308 and out["bound_applies"] is False
+
+    def test_theory_with_a_tiny_lipschitz(self, tmp_path, capsys):
+        # L^2 = 1e-320 is subnormal: formed as L mu (L mu S), the condition keeps
+        # the digits L^2 lost, and the loops end at its root, near 7.3e153
+        cfg = quad_config(tmp_path, schedule={"taus": [100, 100, 100], "rounds": 8}, theory={"lipschitz": 1.0e-160})
+        assert main(["theory", self.write(tmp_path, cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        s = _setup(cfg, "theory")
+        p = TheoryParams(
+            lipschitz=1.0e-160, sigma2=out["sigma2"], gap0=out["gap0"], mu=out["max_feasible_mu"],
+            q=s.q, topology=s.topo, schedule=s.sched,
+        )
+        assert condition_lhs(p) >= 0.0
+        assert condition_lhs(replace(p, mu=math.nextafter(p.mu, math.inf))) < 0.0
 
     def test_readme_cli_block_lists_the_subcommands(self, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -326,28 +326,102 @@ class TestInnerSolverBounds:
             optimize(spec)
 
     def test_each_point_evaluated_once(self, monkeypatch):
-        # the objective and deadline LSEs run once each at the start point and
-        # at each accepted step; a new barrier phase reuses them at its point
-        calls, solves = [0], []
-        lse, solve_inner = gp_optimizer._lse, gp_optimizer._solve_inner
+        # within one inner solve: no LSE of a (term table, point) pair runs
+        # twice, both tables are evaluated at the start point and at every
+        # accepted point, and the value-only _lse_value never runs
+        lse, lse_value, solve_inner = gp_optimizer._lse, gp_optimizer._lse_value, gp_optimizer._solve_inner
+        solves = []
 
-        def counted(*args):
-            calls[0] += 1
-            return lse(*args)
+        class Point(np.ndarray):
+            # the solver squares its current point once per Newton iteration:
+            # at the start point and at each point the line search accepted
+            def __pow__(self, other):
+                solves[-1]["newton"].add(self.tobytes())
+                return np.asarray(self) ** other
+
+        def counted(exps, logc, y):
+            args = solves[-1]["args"]
+            table = "objective" if exps is args[0] else "deadline" if exps is args[3] else None
+            solves[-1]["lse"].append((table, np.asarray(y).tobytes()))
+            return lse(exps, logc, y)
+
+        def value_only(*args):
+            assert not solves or "steps" in solves[-1], "_solve_inner called _lse_value"
+            return lse_value(*args)
 
         def recorded(*args):
-            calls[0] = 0
-            y, steps = solve_inner(*args)
-            solves.append((calls[0], steps))
-            return y, steps
+            solves.append({"args": args, "lse": [], "newton": set()})
+            y, steps = solve_inner(*args[:-1], args[-1].view(Point))
+            solves[-1]["steps"] = steps
+            return np.asarray(y), steps
 
         monkeypatch.setattr(gp_optimizer, "_lse", counted)
+        monkeypatch.setattr(gp_optimizer, "_lse_value", value_only)
         monkeypatch.setattr(gp_optimizer, "_solve_inner", recorded)
         rng = np.random.default_rng(11)
         for _ in range(4):
             optimize(random_spec(rng))
         assert len(solves) >= 4
-        assert all(n == 2 * (steps + 1) for n, steps in solves), solves
+        for solve in solves:
+            calls = solve["lse"]
+            assert None not in {table for table, _ in calls}
+            assert len(set(calls)) == len(calls)
+            both = {y for table, y in calls if table == "objective"} & {y for table, y in calls if table == "deadline"}
+            assert solve["args"][-1].tobytes() in solve["newton"]
+            assert len(solve["newton"]) == solve["steps"] + 1
+            assert solve["newton"] <= both
+
+
+def reference_lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
+    """The out-of-place log-sum-exp value, gradient and Hessian that _lse's
+    in-place arithmetic must reproduce bit for bit."""
+    z = exps @ y + logc
+    m = float(z.max())
+    w = np.exp(z - m)
+    total = float(w.sum())
+    value = m + math.log(total)
+    pi = w / total
+    grad = exps.T @ pi
+    hess = exps.T @ (pi[:, None] * exps) - grad[:, None] * grad[None, :]
+    return value, grad, hess
+
+
+class TestLse:
+    def tables(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            k, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            exps = rng.integers(-1, 2, size=(k, n)).astype(float)
+            logc = rng.normal(0.0, 30.0, size=k)
+            logc[rng.random(k) < 0.3] = -math.inf  # zero weights, as _u_terms and _g_terms emit
+            logc[rng.integers(k)] = rng.normal()  # one finite term at least
+            yield exps, logc, rng.uniform(0.0, 12.0, size=n)
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            spec = random_spec(rng)
+            y = rng.uniform(0.0, 6.0, size=spec.n_layers)
+            for terms in (gp_optimizer._j_plus_terms(spec), gp_optimizer._g_terms(spec)):
+                yield *terms, y
+        spec = make_spec(0.6, (4,), 8, (0.1, 0.2), [0.0], deadline=100.0)  # t_edge 0: a -inf term
+        yield *gp_optimizer._g_terms(spec), np.array([0.3, 1.7])
+
+    def test_bit_equal_to_reference(self):
+        n_inf = 0
+        for exps, logc, y in self.tables():
+            n_inf += int(np.isinf(logc).any())
+            value, grad, hess = gp_optimizer._lse(exps, logc, y)
+            ref_value, ref_grad, ref_hess = reference_lse(exps, logc, y)
+            assert math.isfinite(value) and value.hex() == ref_value.hex()
+            assert grad.tobytes() == ref_grad.tobytes() and hess.tobytes() == ref_hess.tobytes()
+            assert gp_optimizer._lse_value(exps, logc, y).hex() == value.hex()
+        assert n_inf >= 50
+
+    def test_leaves_its_inputs(self):
+        rng = np.random.default_rng(31)
+        exps, logc, y = rng.normal(size=(5, 3)), rng.normal(size=5), rng.normal(size=3)
+        copies = exps.copy(), logc.copy(), y.copy()
+        gp_optimizer._lse(exps, logc, y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((exps, logc, y), copies))
 
 
 class TestBracketConsistency:

@@ -18,14 +18,20 @@ tree's `src` first on PYTHONPATH and BLAS pinned to one thread. The configs:
 * one logistic variant of the tiny `tiny_mlp_config`.
 
 For each invocation it compares the exit code, stdout, stderr (with each
-tree's path masked) and the bytes of every file written. It prints each
-difference and exits 1 if there is any, else 0. It takes a few minutes on a
-2-vCPU machine, and it does not run in CI, because it needs a second tree.
+tree's path masked) and the bytes of every file written. It also runs
+`gp_optimizer.optimize`, in one subprocess per tree, on perfbench's
+`oracle_instance(s, i)` for every seed s in ORACLE_SEEDS and index i in
+ORACLE_INDICES (1,000 instances; seed 0 is the benchmark's pool), and
+compares every `OptimizerResult` field by its repr, so exactly, or the
+exception class and message. It prints each difference and exits 1 if there
+is any, else 0. It takes a few minutes on a 2-vCPU machine, and it does not
+run in CI, because it needs a second tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -44,6 +50,25 @@ from workloads import quadratic_deep_config, tiny_mlp_config  # noqa: E402
 COMMANDS = ("run", "theory", "optimize", "compare-depths")
 SEEDS = (12345, 7, 99)
 THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+ORACLE_SEEDS = range(125)
+ORACLE_INDICES = range(8)
+
+# Run in each tree's subprocess: one JSON line per instance, mapping each
+# OptimizerResult field to its repr, or "raised" to the exception.
+OPTIMIZER_SCRIPT = f"""
+import dataclasses, json, sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from workloads import oracle_instance
+from hierfed.gp_optimizer import optimize
+for s in {ORACLE_SEEDS!r}:
+    for i in {ORACLE_INDICES!r}:
+        try:
+            res = optimize(oracle_instance(s, i))
+            out = {{f.name: repr(getattr(res, f.name)) for f in dataclasses.fields(res)}}
+        except Exception as exc:
+            out = {{"raised": f"{{type(exc).__name__}}: {{exc}}"}}
+        print(json.dumps([s, i, out]))
+"""
 
 
 def readme_config() -> dict:
@@ -84,8 +109,8 @@ def invocations() -> list[tuple[str, dict, list[str]]]:
     return calls
 
 
-def run_tree(src: Path, work: Path, calls) -> dict[str, tuple]:
-    """Each call's (exit code, stdout, masked stderr, {file: bytes}) on one tree."""
+def tree_env(src: Path) -> dict[str, str]:
+    """Environment that imports hierfed from `src`, with BLAS on one thread."""
     env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(THREAD_PINS, "1")}
     where = subprocess.run(
         [sys.executable, "-c", "import hierfed; print(hierfed.__file__)"],
@@ -93,6 +118,12 @@ def run_tree(src: Path, work: Path, calls) -> dict[str, tuple]:
     ).stdout.strip()
     if Path(where).resolve().parent != (src / "hierfed").resolve():
         sys.exit(f"identical_artifacts: {src} imports hierfed from {where}")
+    return env
+
+
+def run_tree(src: Path, work: Path, calls) -> dict[str, tuple]:
+    """Each call's (exit code, stdout, masked stderr, {file: bytes}) on one tree."""
+    env = tree_env(src)
     results = {}
     for name, cfg, args in calls:
         cwd = work / name
@@ -109,6 +140,26 @@ def run_tree(src: Path, work: Path, calls) -> dict[str, tuple]:
         stderr = proc.stderr.replace(str(src.parent).encode(), b"<tree>")
         results[name] = (proc.returncode, proc.stdout, stderr, files)
     return results
+
+
+def optimizer_results(src: Path, work: Path) -> dict[tuple[int, int], dict[str, str]]:
+    """{(seed, index): {field: repr}} of every oracle instance's solve on one tree."""
+    work.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", OPTIMIZER_SCRIPT],
+        cwd=work, env=tree_env(src), capture_output=True, text=True, check=True,
+    )
+    return {(s, i): out for s, i, out in map(json.loads, proc.stdout.splitlines())}
+
+
+def optimizer_differences(ours: dict, theirs: dict) -> list[str]:
+    diffs = []
+    for (s, i), out in ours.items():
+        p_out = theirs[s, i]
+        for name in sorted(out.keys() | p_out.keys()):
+            if out.get(name) != p_out.get(name):
+                diffs.append(f"optimize oracle_instance({s}, {i}): {name} {p_out.get(name)} -> {out.get(name)}")
+    return diffs
 
 
 def differences(ours: dict, theirs: dict) -> list[str]:
@@ -138,10 +189,16 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ours = run_tree(ROOT / "src", Path(tmp) / "change", calls)
         theirs = run_tree(parent_src, Path(tmp) / "parent", calls)
-    diffs = differences(ours, theirs)
+        solved = optimizer_results(ROOT / "src", Path(tmp) / "change-optimizer")
+        p_solved = optimizer_results(parent_src, Path(tmp) / "parent-optimizer")
+    diffs = differences(ours, theirs) + optimizer_differences(solved, p_solved)
     codes = sorted({code for code, *_ in ours.values()})
     counts = ", ".join(f"{sum(r[0] == c for r in ours.values())} exit {c}" for c in codes)
-    print(f"{len(calls)} invocations per tree ({counts}); {len(diffs)} differences")
+    raised = sum("raised" in out for out in solved.values())
+    print(
+        f"{len(calls)} invocations per tree ({counts}); {len(solved)} optimizer solves per tree "
+        f"({raised} raised); {len(diffs)} differences"
+    )
     for line in diffs:
         print(line)
     return 1 if diffs else 0
