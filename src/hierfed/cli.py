@@ -6,13 +6,16 @@ Subcommands:
     optimize        print the iteration-count optimizer result
     compare-depths  run reduced-depth variants of a uniform tree
 
-Configs are YAML (JSON parses too). Every subcommand resolves its config
-through the same `_setup` step, which reads each key once with one default:
-optimize stops after the latency model and needs no lr or taus,
-compare-depths stops before the schedule, which `_schedule` sets per depth,
-and run and theory resolve everything, so theory reports the GP-optimized
-taus when schedule.optimize is set, as run does. schedule.rounds has no
-default. The summary.json config echo is built from the resolved objects, so
+Configs are YAML (JSON parses too). Each key is a row of the `_KEYS` table,
+with its kind and its one default, and `_read` reads it; only the structural
+forms are read where their form is decided: task.kind, the list forms of
+latency.frequencies and latency.t_edge, quantizer entries and the compare
+depth maps. Every subcommand resolves its config through the same `_setup`
+step, which reads each key once: optimize stops after the latency model and
+needs no lr or taus, compare-depths stops before the schedule, which
+`_schedule` sets per depth, and run and theory resolve everything, so theory
+reports the GP-optimized taus when schedule.optimize is set, as run does.
+The summary.json config echo is built from the resolved rows and objects, so
 a run can be reproduced from that file alone. Exit codes: 0 success, 1
 internal error, 2 config error, 3 infeasibility, 4 diverged (non-finite
 training).
@@ -160,32 +163,90 @@ def _scalar(cfg: dict, key: str, kind, where: str = "config", default=None):
     raise ConfigError(f"{where} key {key!r} must be a single {kind.__name__} value, got {value!r}")
 
 
-def _flag(cfg: dict, key: str, where: str = "config") -> bool:
-    """The YAML boolean under `key`, false when absent or null; a string such
-    as "false" is rejected rather than read as truthy."""
-    value = cfg.get(key)
-    if value is None or isinstance(value, bool):
-        return bool(value)
-    raise ConfigError(f"{where} key {key!r} must be true or false, got {value!r}")
+# Every key the subcommands read, by section: ordered (key, kind, default)
+# rows. A section may name after a space the task kinds it is read for (pool:
+# logistic and tiny_mlp); errors name the config path before it. A kind in a
+# list reads a list of that kind, and bool a YAML flag. A default of None marks
+# a required key, _OPTIONAL one left unset when absent or null; a str default,
+# but a path's, names the row read before it that it copies, or the value the
+# caller passes in its place.
+_OPTIONAL = object()
+_KEYS = {
+    "config": (
+        ("seed", integer, None), ("alpha", finite, 0.5), ("lr", float, None), ("weighted", bool, False),
+        ("output_dir", pathname, "."),
+    ),
+    "topology": (
+        ("file", pathname, None), ("layer_sizes", [integer], None), ("fanouts", [integer], None),
+        ("parents", [list], None),
+    ),
+    "task": (("init_scale", finite, 0.0),),  # tiny_mlp: 0.1, as zero init is a symmetric saddle
+    "task quadratic": (
+        ("dimension", positive_integer, 4), ("samples_per_device", positive_integer, 8),
+        ("center_spread", non_negative, 1.0), ("sample_spread", non_negative, 0.1),
+        ("batch_size", integer, "samples_per_device"),
+    ),
+    "task pool": (
+        ("partition_case", integer, 3), ("size_range", [integer], [20, 40]),
+        ("batch_size", integer, "smallest device dataset"),
+    ),
+    "task tiny_mlp": (("hidden", positive_integer, 16),),
+    "task.pool": (("file", pathname, None), ("holdout_fraction", fraction, 0.2)),
+    "task.pool.synthetic": (
+        ("samples", integer, 4000), ("classes", positive_integer, 10), ("dim", positive_integer, 8),
+        ("spread", non_negative, 0.6), ("holdout_fraction", fraction, 0.2),
+    ),
+    "schedule": (("rounds", positive_integer, None), ("optimize", bool, False), ("taus", [integer], None)),
+    "latency": (
+        ("cycles_per_sample", float, 0.25e9), ("batch_size", integer, "task.batch_size"),
+        ("model_bits", float, "32 per model weight"), ("bandwidth", float, 1e6), ("tx_power", float, 0.5),
+        ("channel_gain", float, 1e-8), ("noise_power", float, 1e-10), ("kappa", float, 1.0),
+        ("path_loss_exp", float, 3.4), ("deadline", float, math.inf),
+    ),
+    "latency.frequencies": (("min", finite, None), ("max", finite, None)),
+    "latency.t_edge": (("multipliers", [float], None),),
+    "theory": tuple((k, finite, _OPTIONAL) for k in _THEORY_CONSTANTS),
+    "compare": (("depths", [integer], None), ("threshold", finite, 1e-4)),
+}
 
 
-@_config_errors()
+def _read(cfg: dict, section: str, *keys: str, **given) -> dict:
+    """{key: value} of the rows of _KEYS[section] named by `keys`, or of all
+    of them, read from cfg in table order; given[key] replaces a default. A
+    flag is false when absent or null; a string such as "false" is rejected
+    rather than read as truthy."""
+    where, out = section.split()[0], {}
+    for key, kind, default in _KEYS[section]:
+        if keys and key not in keys or default is _OPTIONAL and cfg.get(key) is None:
+            continue
+        default = given.get(key, default)
+        default = out.get(default, default) if isinstance(default, str) else default
+        if isinstance(kind, list):
+            out[key] = _list(cfg, key, kind[0], where, default)
+        elif kind is not bool:
+            out[key] = _scalar(cfg, key, kind, where, default)
+        elif (value := cfg.get(key)) is None or isinstance(value, bool):
+            out[key] = bool(value)
+        else:
+            raise ConfigError(f"{where} key {key!r} must be true or false, got {value!r}")
+    return out
+
+
 def _build_topology(cfg: dict) -> Topology:
     tcfg = _section(cfg, "topology")
     if "file" in tcfg:
-        tcfg = load_config(_scalar(tcfg, "file", pathname, "topology"))
-    sizes = _list(tcfg, "layer_sizes", integer, "topology")
-    if "fanouts" in tcfg:
-        return build_topology(sizes, fanouts=_list(tcfg, "fanouts", integer, "topology"))
-    if "parents" in tcfg:
-        return build_topology(sizes, parents=_list(tcfg, "parents", list, "topology"))
-    raise ConfigError("topology needs fanouts or parents (inline or via file)")
+        tcfg = load_config(_read(tcfg, "topology", "file")["file"])
+    form = [k for k in ("fanouts", "parents") if k in tcfg][:1]
+    rows = _read(tcfg, "topology", "layer_sizes", *form)
+    if not form:
+        raise ConfigError("topology needs fanouts or parents (inline or via file)")
+    return build_topology(**rows)
 
 
 def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict]:
     """The labeled pool and its resolved config."""
     if "file" in pool_cfg:
-        path = _scalar(pool_cfg, "file", pathname, "task.pool")
+        path, holdout = _read(pool_cfg, "task.pool").values()
         try:
             raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except FileNotFoundError as exc:
@@ -196,103 +257,51 @@ def _load_pool(pool_cfg: dict, seed: int) -> tuple[tasks_mod.SyntheticPool, dict
         if raw.shape[1] < 2 or not np.all(np.isfinite(labels) & (labels >= 0) & (labels == np.floor(labels))):
             raise ConfigError(f"task.pool.file {path} must hold feature columns, then whole labels >= 0")
         feats, labels = raw[:, :-1], labels.astype(int)
-        holdout = _scalar(pool_cfg, "holdout_fraction", fraction, "task.pool", 0.2)
         order = _stream(seed, _TASK_GEN_STREAM, 1).permutation(len(feats))
         n_hold = int(len(feats) * holdout)
         hold, rest = order[:n_hold], order[n_hold:]
-        return tasks_mod.SyntheticPool(
-            features=feats[rest],
-            labels=labels[rest],
-            holdout_features=feats[hold],
-            holdout_labels=labels[hold],
-        ), pool_cfg
-    syn = _section(pool_cfg, "synthetic", "task.pool")
-    resolved = {
-        "samples": _scalar(syn, "samples", integer, "task.pool.synthetic", 4000),
-        "classes": _scalar(syn, "classes", positive_integer, "task.pool.synthetic", 10),
-        "dim": _scalar(syn, "dim", positive_integer, "task.pool.synthetic", 8),
-        "spread": _scalar(syn, "spread", non_negative, "task.pool.synthetic", 0.6),
-        "holdout_fraction": _scalar(syn, "holdout_fraction", fraction, "task.pool.synthetic", 0.2),
-    }
-    pool = tasks_mod.make_blob_pool(
-        n_samples=resolved["samples"],
-        n_classes=resolved["classes"],
-        dim=resolved["dim"],
-        rng=_stream(seed, _TASK_GEN_STREAM, 0),
-        spread=resolved["spread"],
-        holdout_fraction=resolved["holdout_fraction"],
-    )
-    return pool, {**pool_cfg, "synthetic": resolved}
+        return tasks_mod.SyntheticPool(feats[rest], labels[rest], feats[hold], labels[hold]), pool_cfg
+    rows = _read(_section(pool_cfg, "synthetic", "task.pool"), "task.pool.synthetic")
+    return tasks_mod.make_blob_pool(**rows, rng=_stream(seed, _TASK_GEN_STREAM, 0)), {**pool_cfg, "synthetic": rows}
 
 
 def _build_task(cfg: dict, topo: Topology, seed: int):
     """Build the configured task; returns (task, pool, resolved task config)."""
     tcfg = _section(cfg, "task")
     kind = _require(tcfg, "kind", "task")
-    n_dev = topo.n_devices
     pool = None
-    # zero init would leave the tiny MLP at a symmetric saddle
-    init_scale = _scalar(tcfg, "init_scale", finite, "task", 0.1 if kind == "tiny_mlp" else 0.0)
-    resolved = {"kind": kind, "init_scale": init_scale}
+    resolved = {"kind": kind, **_read(tcfg, "task", **({"init_scale": 0.1} if kind == "tiny_mlp" else {}))}
     if kind == "quadratic":
-        dim = _scalar(tcfg, "dimension", positive_integer, "task", 4)
-        spd = _scalar(tcfg, "samples_per_device", positive_integer, "task", 8)
-        resolved.update(
-            dimension=dim,
-            samples_per_device=spd,
-            center_spread=_scalar(tcfg, "center_spread", non_negative, "task", 1.0),
-            sample_spread=_scalar(tcfg, "sample_spread", non_negative, "task", 0.1),
-            batch_size=_scalar(tcfg, "batch_size", integer, "task", spd),
-        )
-        task = tasks_mod.make_quadratic_task(
-            n_dev,
-            dim,
-            _stream(seed, _TASK_GEN_STREAM, 0),
-            center_spread=resolved["center_spread"],
-            sample_spread=resolved["sample_spread"],
-            samples_per_device=spd,
-            batch_size=resolved["batch_size"],
-        )
+        rows = _read(tcfg, "task quadratic")
+        task = tasks_mod.make_quadratic_task(topo.n_devices, rng=_stream(seed, _TASK_GEN_STREAM, 0), **rows)
+        resolved.update(rows)
     elif kind in ("logistic", "tiny_mlp"):
         pool, pool_resolved = _load_pool(_section(tcfg, "pool", "task"), seed)
-        case = _scalar(tcfg, "partition_case", integer, "task", 3)
-        size_range = _list(tcfg, "size_range", integer, "task", default=[20, 40])
+        case, size_range = _read(tcfg, "task pool", "partition_case", "size_range").values()
         if len(size_range) != 2:
             raise ConfigError(f"task key 'size_range' must be [lo, hi], got {size_range!r}")
         resolved.update(partition_case=case, size_range=size_range, pool=pool_resolved)
         try:
-            parts = tasks_mod.partition(
-                pool.features,
-                pool.labels,
-                n_dev,
-                case,
-                (size_range[0], size_range[1]),
-                _stream(seed, _TASK_GEN_STREAM, 2),
-            )
+            rng = _stream(seed, _TASK_GEN_STREAM, 2)
+            parts = tasks_mod.partition(pool.features, pool.labels, topo.n_devices, case, tuple(size_range), rng)
         except tasks_mod.InsufficientPool as exc:
             raise ConfigError(f"task.pool too small: {exc}") from exc
-        batch = _scalar(tcfg, "batch_size", integer, "task", min(p.size for p in parts))
-        resolved["batch_size"] = batch
+        resolved.update(_read(tcfg, "task pool", "batch_size", batch_size=min(p.size for p in parts)))
+        batch = resolved["batch_size"]
         if kind == "logistic":
             for p in parts:
                 p.labels = np.where(p.labels % 2 == 0, -1, 1)
             pool.holdout_labels = np.where(pool.holdout_labels % 2 == 0, -1, 1)
             task = tasks_mod.LogisticTask(parts, batch_size=batch)
         else:
+            resolved.update(_read(tcfg, "task tiny_mlp"))
             n_classes = int(np.max(pool.labels)) + 1
-            resolved["hidden"] = _scalar(tcfg, "hidden", positive_integer, "task", 16)
-            task = tasks_mod.TinyMLPTask(
-                parts,
-                batch_size=batch,
-                n_classes=n_classes,
-                hidden=resolved["hidden"],
-            )
+            task = tasks_mod.TinyMLPTask(parts, batch_size=batch, n_classes=n_classes, hidden=resolved["hidden"])
     else:
         raise ConfigError(f"unknown task kind {kind!r}")
     return task, pool, resolved
 
 
-@_config_errors()
 def _build_quantizers(cfg: dict, n_layers: int) -> list[quant_mod.QuantizerSpec]:
     qcfg = cfg.get("quantizers")
     if qcfg is None:
@@ -314,23 +323,16 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
     if freqs is None:
         freqs = [0.5e9] * topo.n_devices
     elif isinstance(freqs, dict):
-        lo, hi = (_scalar(freqs, k, float, "latency.frequencies") for k in ("min", "max"))
+        lo, hi = _read(freqs, "latency.frequencies").values()
+        if not 0.0 <= hi - lo < math.inf:  # Generator.uniform's own errors name no key
+            raise ConfigError(f"latency.frequencies needs min <= max, a finite distance apart, got {lo} and {hi}")
         freqs = _stream(seed, _FREQ_STREAM, 0).uniform(lo, hi, size=topo.n_devices).tolist()
     else:
         freqs = _list(lcfg, "frequencies", float, "latency")
     params = latency_mod.LatencyParams(
-        cycles_per_sample=_scalar(lcfg, "cycles_per_sample", float, "latency", 0.25e9),
         frequencies=freqs,
-        batch_size=_scalar(lcfg, "batch_size", integer, "latency", task.batch_size),
-        model_bits=_scalar(lcfg, "model_bits", float, "latency", 32.0 * task.dim),
-        bandwidth=_scalar(lcfg, "bandwidth", float, "latency", 1e6),
-        tx_power=_scalar(lcfg, "tx_power", float, "latency", 0.5),
-        channel_gain=_scalar(lcfg, "channel_gain", float, "latency", 1e-8),
-        noise_power=_scalar(lcfg, "noise_power", float, "latency", 1e-10),
-        kappa=_scalar(lcfg, "kappa", float, "latency", 1.0),
-        path_loss_exp=_scalar(lcfg, "path_loss_exp", float, "latency", 3.4),
-        deadline=_scalar(lcfg, "deadline", float, "latency", math.inf),
         rounds=rounds,
+        **_read(lcfg, "latency", batch_size=task.batch_size, model_bits=32.0 * task.dim),
     )
     t_de = latency_mod.compute_tde(params)  # rejects a zero link rate whatever the t_edge form
     # seconds, or multipliers of t_DE: given, or 10, 20, ... for the n_layers - 1 hops
@@ -338,7 +340,7 @@ def _build_latency(cfg: dict, topo: Topology, task, seed: int, rounds: int) -> l
     if t_edge is None:
         t_edge = [10.0 * (k + 1) * t_de for k in range(n_layers - 1)]
     elif isinstance(t_edge, dict):
-        t_edge = [m * t_de for m in _list(t_edge, "multipliers", float, "latency.t_edge")]
+        t_edge = [m * t_de for m in _read(t_edge, "latency.t_edge")["multipliers"]]
     else:
         t_edge = _list(lcfg, "t_edge", float, "latency")
     if len(t_edge) != n_layers - 1:
@@ -406,25 +408,22 @@ class _Setup:
 def _setup(cfg: dict, command: str = "run") -> _Setup:
     """Resolve the config for `command` (see the module docstring for what
     each command reads), reading each key once."""
-    seed = _scalar(cfg, "seed", integer)
+    seed = _read(cfg, "config", "seed")["seed"]
     topo = _build_topology(cfg)
     task, pool, task_resolved = _build_task(cfg, topo, seed)
     quantizers = _build_quantizers(cfg, topo.num_layers)
     q = [quant_mod.measure_q(spec, task.dim) for spec in quantizers]
     scfg = _section(cfg, "schedule")
-    alpha = _scalar(cfg, "alpha", finite, default=0.5)
-    lat = _build_latency(cfg, topo, task, seed, _scalar(scfg, "rounds", positive_integer, "schedule"))
+    alpha = _read(cfg, "config", "alpha")["alpha"]
+    lat = _build_latency(cfg, topo, task, seed, _read(scfg, "schedule", "rounds")["rounds"])
     s = _Setup(seed, topo, task, pool, task_resolved, quantizers, q, alpha, lat)
     if command == "optimize":
         return s
-    s.lr = _scalar(cfg, "lr", float)
+    s.lr, s.weighted = _read(cfg, "config", "lr", "weighted").values()
     if not 0.0 < s.lr < math.inf:
         raise ConfigError(f"lr must be positive and finite, got {s.lr}")
-    s.weighted = _flag(cfg, "weighted")
-    s.theory = _section(cfg, "theory", required=False)
-    for k in _THEORY_CONSTANTS:
-        if s.theory.get(k) is not None:
-            s.theory[k] = _scalar(s.theory, k, finite, "theory")
+    theory = _section(cfg, "theory", required=False)
+    s.theory = {**theory, **_read(theory, "theory")}
     scale = task_resolved["init_scale"]
     s.w0 = scale * _stream(seed, _INIT_STREAM, 0).standard_normal(task.dim) if scale else np.zeros(task.dim)
     if command == "compare-depths":
@@ -437,11 +436,11 @@ def _schedule(s: _Setup, scfg: dict, taus: list[int] | None = None) -> _Setup:
     """s with its schedule set: `taus` (compare.taus.<depth>) when given, else
     the schedule section's taus, or the GP optimizer's when it sets optimize."""
     key = "schedule.taus" if taus is None else f"compare.taus.{s.topo.num_layers}"
-    if taus is None and _flag(scfg, "optimize", "schedule"):
+    if taus is None and _read(scfg, "schedule", "optimize")["optimize"]:
         s.optimizer = gp_optimizer.optimize(s.objective())
         taus = s.optimizer.taus_integer
     elif taus is None:
-        taus = _list(scfg, "taus", integer, "schedule")
+        taus = _read(scfg, "schedule", "taus")["taus"]
     if len(taus) != s.topo.num_layers:
         raise ConfigError(f"{key} needs {s.topo.num_layers} entries, one per layer, got {len(taus)}")
     s.sched = engine.Schedule(tuple(taus), s.lat.rounds)
@@ -507,7 +506,7 @@ def _optimizer_block(res: gp_optimizer.OptimizerResult) -> dict:
 
 def run_experiment(cfg: dict, output_dir: str | Path | None = None) -> dict:
     """Execute one configured run; write metrics.csv and summary.json."""
-    out = output_dir if output_dir is not None else _scalar(cfg, "output_dir", pathname, default=".")
+    out = output_dir if output_dir is not None else _read(cfg, "config", "output_dir")["output_dir"]
     return _run(_setup(cfg), Path(out))[0]
 
 
@@ -581,8 +580,8 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     """
     ccfg = _section(cfg, "compare", required=False)
     if depths is None:
-        depths = _list(ccfg, "depths", integer, "compare")
-    threshold = _scalar(ccfg, "threshold", float, "compare", 1e-4)
+        depths = _read(ccfg, "compare", "depths")["depths"]
+    threshold = _read(ccfg, "compare", "threshold")["threshold"]
     kappa_cfg = _section(ccfg, "kappas", "compare", required=False)
     taus_cfg = _section(ccfg, "taus", "compare", required=False)
     kappas = {_depth(k, "compare.kappas"): _scalar(kappa_cfg, k, float, "compare.kappas") for k in kappa_cfg}
@@ -592,7 +591,7 @@ def compare_depths(cfg: dict, depths: list[int] | None = None) -> list[dict]:
     scfg = _section(cfg, "schedule")
     n = base.topo.num_layers
     rows = []
-    out_dir = Path(_scalar(cfg, "output_dir", pathname, default="."))
+    out_dir = Path(_read(cfg, "config", "output_dir")["output_dir"])
     for depth in depths:
         if depth > n:
             raise ConfigError(f"depth {depth} exceeds the base tree ({n})")

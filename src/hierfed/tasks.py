@@ -215,7 +215,7 @@ class QuadraticTask(Task):
 
 def make_quadratic_task(
     n_devices: int,
-    dim: int,
+    dimension: int,
     rng: np.random.Generator,
     center_spread: float = 1.0,
     sample_spread: float = 0.1,
@@ -228,7 +228,7 @@ def make_quadratic_task(
             raise ValueError(f"{name} must be >= 0, got {spread}")
     # one block in the order per-device rng.normal(0.0, spread) calls draw, each
     # 0.0 + spread * z on the same stream; the 0.0 + turns a -0.0 into +0.0
-    z = rng.standard_normal((n_devices, 1 + samples_per_device, dim))
+    z = rng.standard_normal((n_devices, 1 + samples_per_device, dimension))
     centers = 0.0 + center_spread * z[:, :1]
     points = centers + (0.0 + sample_spread * z[:, 1:])
     b = samples_per_device if batch_size is None else batch_size
@@ -423,17 +423,17 @@ class SyntheticPool:
 
 
 def make_blob_pool(
-    n_samples: int,
-    n_classes: int,
+    samples: int,
+    classes: int,
     dim: int,
     rng: np.random.Generator,
     spread: float = 0.6,
     holdout_fraction: float = 0.2,
 ) -> SyntheticPool:
-    centers = rng.normal(0.0, 2.0, size=(n_classes, dim))
-    labels = rng.integers(0, n_classes, size=n_samples)
-    features = centers[labels] + rng.normal(0.0, spread, size=(n_samples, dim))
-    n_hold = int(n_samples * holdout_fraction)
+    centers = rng.normal(0.0, 2.0, size=(classes, dim))
+    labels = rng.integers(0, classes, size=samples)
+    features = centers[labels] + rng.normal(0.0, spread, size=(samples, dim))
+    n_hold = int(samples * holdout_fraction)
     return SyntheticPool(
         features=features[n_hold:],
         labels=labels[n_hold:],

@@ -11,7 +11,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hierfed import engine
+import config_walk
+from hierfed import cli, engine
 from hierfed import tasks as tasks_mod
 from hierfed.cli import (
     ConfigError,
@@ -600,11 +601,13 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "command, overrides, named",
         [
-            ("run", {"quantizers": [{"kind": "bogus"}] * 3}, "bogus"),
-            ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}, "fanouts"),
-            ("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}, "iteration counts"),
-            ("run", {"lr": -0.05}, "lr must be positive"),  # rejected before training
-            (  # reduce_depth needs a uniform fan-out tree
+            pytest.param("run", {"quantizers": [{"kind": "bogus"}] * 3}, "bogus", id="quantizer"),
+            pytest.param(
+                "run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}, "fanouts", id="topology"
+            ),
+            pytest.param("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}, "iteration counts", id="schedule"),
+            pytest.param("run", {"lr": -0.05}, "lr must be positive", id="theory"),  # rejected before training
+            pytest.param(  # reduce_depth needs a uniform fan-out tree
                 "compare-depths",
                 {
                     "topology": {"layer_sizes": [4, 2, 1], "parents": [[0, 0, 0, 1], [0, 0]]},
@@ -612,172 +615,303 @@ class TestMainEntry:
                     "schedule": {"taus": [2], "rounds": 2},
                 },
                 "uniform fan-out",
+                id="compare_depths",
             ),
             # malformed shapes, each checked where the config is read
-            ("run", {"quantizers": [4, 6, 8]}, "quantizers"),
-            ("run", {"latency": {"deadline": 1e9, "frequencies": {"min": 1e9}}}, "'max'"),
-            ("run", {"latency": {"deadline": 1e9, "t_edge": {"mult": [10, 20]}}}, "'multipliers'"),
-            ("run", {"schedule": [1, 2]}, "'schedule'"),
-            ("run", {"topology": 5}, "'topology'"),
-            ("compare-depths", {"compare": {"depths": [3], "kappas": [1.0]}}, "'kappas'"),
+            pytest.param("run", {"quantizers": [4, 6, 8]}, "quantizers", id="quantizer_entry_shape"),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "frequencies": {"min": 1e9}}}, "'max'", id="frequencies_no_max"
+            ),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "t_edge": {"mult": [10, 20]}}}, "'multipliers'",
+                id="t_edge_no_multipliers",
+            ),
+            pytest.param("run", {"schedule": [1, 2]}, "'schedule'", id="schedule_shape"),
+            pytest.param("run", {"topology": 5}, "'topology'", id="topology_shape"),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3], "kappas": [1.0]}}, "'kappas'", id="compare_kappas_shape"
+            ),
             # list-valued keys given a scalar, and a theory constant given a list
-            ("run", {"schedule": {"taus": 5, "rounds": 8}}, "'taus'"),
-            ("run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": 5}}, "'fanouts'"),
-            ("run", {"latency": {"deadline": 1e9, "frequencies": 5}}, "'frequencies'"),
-            (
+            pytest.param("run", {"schedule": {"taus": 5, "rounds": 8}}, "'taus'", id="taus_scalar"),
+            pytest.param(
+                "run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": 5}}, "'fanouts'", id="fanouts_scalar"
+            ),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "frequencies": 5}}, "'frequencies'", id="frequencies_scalar"
+            ),
+            pytest.param(
                 "run",
                 {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400}}, "size_range": 5}},
                 "'size_range'",
+                id="size_range_scalar",
             ),
-            (
+            pytest.param(
                 "run",
                 {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400}}, "size_range": [5]}},
                 "'size_range'",
+                id="size_range_length",
             ),
-            ("theory", {"theory": {"sigma2": [1]}}, "'sigma2'"),
+            pytest.param("theory", {"theory": {"sigma2": [1]}}, "'sigma2'", id="theory_constant_list"),
             # scalar keys given a list
-            ("run", {"lr": [0.1]}, "'lr'"),
-            ("run", {"seed": [1]}, "'seed'"),
-            ("run", {"task": {"kind": "quadratic", "dimension": [4]}}, "'dimension'"),
-            ("run", {"schedule": {"taus": [2, 1, 1], "rounds": [3]}}, "'rounds'"),
-            ("compare-depths", {"compare": {"depths": [3], "kappas": {3: [1]}}}, "compare.kappas key 3"),
-            ("compare-depths", {"compare": {"depths": [3], "kappas": {"a": 1.0}}}, "'a'"),
-            ("compare-depths", {"compare": {"depths": [3], "taus": {"x": [2, 1, 1]}}}, "'x'"),
+            pytest.param("run", {"lr": [0.1]}, "'lr'", id="lr_list"),
+            pytest.param("run", {"seed": [1]}, "'seed'", id="seed_list"),
+            pytest.param("run", {"task": {"kind": "quadratic", "dimension": [4]}}, "'dimension'", id="dimension_list"),
+            pytest.param("run", {"schedule": {"taus": [2, 1, 1], "rounds": [3]}}, "'rounds'", id="rounds_list"),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3], "kappas": {3: [1]}}}, "compare.kappas key 3",
+                id="kappa_list",
+            ),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3], "kappas": {"a": 1.0}}}, "'a'", id="kappa_depth_key"
+            ),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3], "taus": {"x": [2, 1, 1]}}}, "'x'", id="taus_depth_key"
+            ),
             # checked against the base tree, as run checks it, before each depth takes its hops
-            ("compare-depths", {"quantizers": [{"kind": "identity"}] * 5, "compare": {"depths": [3]}}, "3 entries"),
+            pytest.param(
+                "compare-depths", {"quantizers": [{"kind": "identity"}] * 5, "compare": {"depths": [3]}}, "3 entries",
+                id="compare_quantizers_length",
+            ),
             # a task without theory constants trains with any lr unless _setup rejects it
-            (
+            pytest.param(
                 "run",
                 {"task": {"kind": "tiny_mlp", "pool": {"synthetic": {"samples": 400}}}, "lr": 0},
                 "lr must be positive",
+                id="lr_zero_tiny_mlp",
             ),
-            ("theory", {"lr": "inf"}, "lr must be positive"),
+            pytest.param("theory", {"lr": "inf"}, "lr must be positive", id="lr_inf"),
             # run and theory name the same key
-            ("run", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
-            ("theory", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus"),
-            ("compare-depths", {"compare": {"depths": [2]}}, "schedule.taus"),
+            pytest.param("run", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus", id="taus_length_run"),
+            pytest.param(
+                "theory", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus", id="taus_length_theory"
+            ),
+            pytest.param("compare-depths", {"compare": {"depths": [2]}}, "schedule.taus", id="taus_length_compare"),
             # a depth's own taus are named by their key, while schedule.taus is valid
-            ("compare-depths", {"compare": {"depths": [3, 2], "taus": {2: [1, 1, 1]}}}, "compare.taus.2"),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3, 2], "taus": {2: [1, 1, 1]}}}, "compare.taus.2",
+                id="compare_taus_length",
+            ),
             # objective inputs optimize reads, named as run names them
-            ("optimize", {"latency": {}}, "finite positive deadline"),
-            ("optimize", {"alpha": 1.5}, "alpha"),
+            pytest.param("optimize", {"latency": {}}, "finite positive deadline", id="optimize_no_deadline"),
+            pytest.param("optimize", {"alpha": 1.5}, "alpha", id="optimize_alpha"),
             # compare-depths checks the base tree's quantizer entries as run does
-            ("compare-depths", {"quantizers": [{"kind": "bogus"}] * 3, "compare": {"depths": [3]}}, "bogus"),
-            (
+            pytest.param(
+                "compare-depths", {"quantizers": [{"kind": "bogus"}] * 3, "compare": {"depths": [3]}}, "bogus",
+                id="compare_quantizer_kind",
+            ),
+            pytest.param(
                 "compare-depths",
                 {"quantizers": [{"kind": "stochastic_levels", "levels": 0}] * 3, "compare": {"depths": [3]}},
                 "levels >= 1",
+                id="compare_quantizer_levels",
             ),
             # a zero link rate, whatever form t_edge takes
-            ("run", {"latency": {"deadline": 1e9, "t_edge": [1.0, 2.0], "channel_gain": 1e-30}}, "link rate"),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "t_edge": [1.0, 2.0], "channel_gain": 1e-30}}, "link rate",
+                id="t_edge_list_zero_rate",
+            ),
             # one inter-edge time per hop, not more
-            ("run", {"latency": {"deadline": 1e9, "t_edge": [1, 2, 3, 4]}}, "latency.t_edge needs 2 entries"),
-            ("run", {"latency": {"deadline": 1e9, "t_edge": {"multipliers": [1, 2, 3]}}}, "latency.t_edge needs 2"),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "t_edge": [1, 2, 3, 4]}}, "latency.t_edge needs 2 entries",
+                id="t_edge_list_too_long",
+            ),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "t_edge": {"multipliers": [1, 2, 3]}}}, "latency.t_edge needs 2",
+                id="t_edge_multipliers_too_long",
+            ),
             # integer keys given a number with a fractional part
-            ("run", {"seed": 3.7}, "'seed'"),
-            ("run", {"seed": math.inf}, "'seed'"),  # int(inf) raises OverflowError, not ValueError
-            ("run", {"schedule": {"taus": [2, 1, 1], "rounds": 2.5}}, "'rounds'"),
-            ("run", {"schedule": {"taus": [2.5, 1, 1], "rounds": 8}}, "'taus'"),
-            ("run", {"quantizers": [{"kind": "stochastic_levels", "levels": 4.5}] * 3}, "'levels'"),
-            ("compare-depths", {"compare": {"depths": [3], "taus": {3: [2.5, 1, 1]}}}, "compare.taus key 3"),
-            ("compare-depths", {"compare": {"depths": [3], "kappas": {2.5: 1.0}}}, "2.5"),
+            pytest.param("run", {"seed": 3.7}, "'seed'", id="seed_fraction"),
+            pytest.param(  # int(inf) raises OverflowError, not ValueError
+                "run", {"seed": math.inf}, "'seed'", id="seed_inf"
+            ),
+            pytest.param("run", {"schedule": {"taus": [2, 1, 1], "rounds": 2.5}}, "'rounds'", id="rounds_fraction"),
+            pytest.param("run", {"schedule": {"taus": [2.5, 1, 1], "rounds": 8}}, "'taus'", id="taus_fraction"),
+            pytest.param(
+                "run", {"quantizers": [{"kind": "stochastic_levels", "levels": 4.5}] * 3}, "'levels'",
+                id="levels_fraction",
+            ),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3], "taus": {3: [2.5, 1, 1]}}}, "compare.taus key 3",
+                id="compare_taus_fraction",
+            ),
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [3], "kappas": {2.5: 1.0}}}, "2.5",
+                id="kappa_depth_key_fraction",
+            ),
             # flags take YAML booleans, not strings that read as truthy
-            ("run", {"weighted": "false"}, "'weighted'"),
-            ("run", {"schedule": {"taus": [2, 1, 1], "rounds": 8, "optimize": "false"}}, "'optimize'"),
+            pytest.param("run", {"weighted": "false"}, "'weighted'", id="weighted_string"),
+            pytest.param(
+                "run", {"schedule": {"taus": [2, 1, 1], "rounds": 8, "optimize": "false"}}, "'optimize'",
+                id="optimize_string",
+            ),
             # physical latency values are finite and positive, inter-edge times finite and >= 0
-            ("run", {"latency": {"deadline": 1e9, "frequencies": [math.nan] * 8}}, "frequencies"),
-            ("optimize", {"latency": {"deadline": 1e9, "frequencies": [math.nan] * 8}}, "frequencies"),
-            ("optimize", {"latency": {"deadline": 1e9, "cycles_per_sample": math.nan}}, "cycles_per_sample"),
-            ("optimize", {"latency": {"deadline": 1e9, "tx_power": math.inf}}, "tx_power"),
-            ("run", {"latency": {"deadline": 1e9, "t_edge": [-1.0, 1.0]}}, "t_edge"),
-            ("optimize", {"latency": {"deadline": 1e9, "t_edge": [-1.0, 1.0]}}, "t_edge"),
-            ("run", {"latency": {"deadline": 1e9, "path_loss_exp": math.nan}}, "path_loss_exp"),
-            ("run", {"latency": {"deadline": math.nan}}, "deadline"),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "frequencies": [math.nan] * 8}}, "frequencies",
+                id="frequencies_nan_run",
+            ),
+            pytest.param(
+                "optimize", {"latency": {"deadline": 1e9, "frequencies": [math.nan] * 8}}, "frequencies",
+                id="frequencies_nan_optimize",
+            ),
+            pytest.param(
+                "optimize", {"latency": {"deadline": 1e9, "cycles_per_sample": math.nan}}, "cycles_per_sample",
+                id="cycles_nan",
+            ),
+            pytest.param(
+                "optimize", {"latency": {"deadline": 1e9, "tx_power": math.inf}}, "tx_power", id="tx_power_inf"
+            ),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "t_edge": [-1.0, 1.0]}}, "t_edge", id="t_edge_negative_run"
+            ),
+            pytest.param(
+                "optimize", {"latency": {"deadline": 1e9, "t_edge": [-1.0, 1.0]}}, "t_edge",
+                id="t_edge_negative_optimize",
+            ),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "path_loss_exp": math.nan}}, "path_loss_exp",
+                id="path_loss_exp_nan",
+            ),
+            pytest.param("run", {"latency": {"deadline": math.nan}}, "deadline", id="deadline_nan"),
             # task inputs on which run diverged or theory exited 1
-            ("run", {"task": {"kind": "quadratic", "batch_size": 0}}, "batch_size"),
-            ("theory", {"task": {"kind": "quadratic", "batch_size": 0}}, "batch_size"),
-            ("run", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'"),
-            ("theory", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'"),
-            ("run", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'"),
-            ("theory", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'"),
-            ("theory", {"theory": {"lipschitz": math.inf}}, "'lipschitz'"),
+            pytest.param(
+                "run", {"task": {"kind": "quadratic", "batch_size": 0}}, "batch_size", id="batch_size_zero_run"
+            ),
+            pytest.param(
+                "theory", {"task": {"kind": "quadratic", "batch_size": 0}}, "batch_size", id="batch_size_zero_theory"
+            ),
+            pytest.param(
+                "run", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'", id="init_scale_nan_run"
+            ),
+            pytest.param(
+                "theory", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'",
+                id="init_scale_nan_theory",
+            ),
+            pytest.param(
+                "run", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'",
+                id="center_spread_nan_run",
+            ),
+            pytest.param(
+                "theory", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'",
+                id="center_spread_nan_theory",
+            ),
+            pytest.param("theory", {"theory": {"lipschitz": math.inf}}, "'lipschitz'", id="lipschitz_inf"),
             # spreads are >= 0: numpy's "scale < 0" named no key
-            ("run", {"task": {"kind": "quadratic", "center_spread": -0.5}}, "'center_spread'"),
-            ("theory", {"task": {"kind": "quadratic", "sample_spread": -0.5}}, "'sample_spread'"),
-            ("run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "spread": -0.5}}}}, "'spread'"),
+            pytest.param(
+                "run", {"task": {"kind": "quadratic", "center_spread": -0.5}}, "'center_spread'",
+                id="center_spread_negative",
+            ),
+            pytest.param(
+                "theory", {"task": {"kind": "quadratic", "sample_spread": -0.5}}, "'sample_spread'",
+                id="sample_spread_negative",
+            ),
+            pytest.param(
+                "run",
+                {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "spread": -0.5}}}},
+                "'spread'",
+                id="pool_spread_negative",
+            ),
             # YAML booleans are not numbers
-            ("run", {"seed": True}, "'seed'"),
-            ("run", {"schedule": {"taus": [True, 1, 1], "rounds": 8}}, "'taus'"),
-            ("run", {"alpha": True}, "'alpha'"),
-            ("run", {"lr": True}, "'lr'"),
-            ("run", {"latency": {"deadline": 1e9, "frequencies": [True] * 8}}, "'frequencies'"),
+            pytest.param("run", {"seed": True}, "'seed'", id="seed_bool"),
+            pytest.param("run", {"schedule": {"taus": [True, 1, 1], "rounds": 8}}, "'taus'", id="taus_bool"),
+            pytest.param("run", {"alpha": True}, "'alpha'", id="alpha_bool"),
+            pytest.param("run", {"lr": True}, "'lr'", id="lr_bool"),
+            pytest.param(
+                "run", {"latency": {"deadline": 1e9, "frequencies": [True] * 8}}, "'frequencies'", id="frequencies_bool"
+            ),
             # size keys are at least 1, named where they are read
-            ("run", {"task": {"kind": "quadratic", "dimension": 0}}, "'dimension'"),
-            ("run", {"task": {"kind": "quadratic", "samples_per_device": 0}}, "'samples_per_device'"),
-            ("run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "dim": 0}}}}, "'dim'"),
-            ("run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "classes": 0}}}}, "'classes'"),
-            ("run", {"task": {"kind": "tiny_mlp", "hidden": -1, "pool": {"synthetic": {"samples": 400}}}}, "'hidden'"),
-            ("run", {"task": {"kind": "tiny_mlp", "hidden": 0, "pool": {"synthetic": {"samples": 400}}}}, "'hidden'"),
-            ("optimize", {"schedule": {"rounds": 0}}, "'rounds'"),
+            pytest.param("run", {"task": {"kind": "quadratic", "dimension": 0}}, "'dimension'", id="dimension_zero"),
+            pytest.param(
+                "run", {"task": {"kind": "quadratic", "samples_per_device": 0}}, "'samples_per_device'",
+                id="samples_per_device_zero",
+            ),
+            pytest.param(
+                "run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "dim": 0}}}}, "'dim'",
+                id="pool_dim_zero",
+            ),
+            pytest.param(
+                "run",
+                {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "classes": 0}}}},
+                "'classes'",
+                id="classes_zero",
+            ),
+            pytest.param(
+                "run",
+                {"task": {"kind": "tiny_mlp", "hidden": -1, "pool": {"synthetic": {"samples": 400}}}},
+                "'hidden'",
+                id="hidden_negative",
+            ),
+            pytest.param(
+                "run", {"task": {"kind": "tiny_mlp", "hidden": 0, "pool": {"synthetic": {"samples": 400}}}}, "'hidden'",
+                id="hidden_zero",
+            ),
+            pytest.param("optimize", {"schedule": {"rounds": 0}}, "'rounds'", id="rounds_zero"),
             # an empty training pool in partition case 3
-            (
+            pytest.param(
                 "run",
                 {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "holdout_fraction": 1.0}}}},
                 "task.pool too small",
+                id="holdout_all",
             ),
-            ("run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 0}}}}, "task.pool too small"),
+            pytest.param(
+                "run", {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 0}}}}, "task.pool too small",
+                id="samples_zero",
+            ),
             # a zero round latency: t_CP = 0, t_DE = 0 (the SNR overflows) and t_edge = 0
-            ("optimize", {"schedule": {"rounds": 4}, "latency": ZERO_LATENCY}, "deadline bounds nothing"),
-            ("run", {"schedule": {"rounds": 4, "optimize": True}, "latency": ZERO_LATENCY}, "deadline bounds nothing"),
+            pytest.param(
+                "optimize", {"schedule": {"rounds": 4}, "latency": ZERO_LATENCY}, "deadline bounds nothing",
+                id="zero_latency_optimize",
+            ),
+            pytest.param(
+                "run",
+                {"schedule": {"rounds": 4, "optimize": True}, "latency": ZERO_LATENCY},
+                "deadline bounds nothing",
+                id="zero_latency_run",
+            ),
             # a YAML boolean is not a depth key
-            ("compare-depths", {"compare": {"depths": [1], "taus": {True: [4]}}}, "compare.taus key True"),
-            (
+            pytest.param(
+                "compare-depths", {"compare": {"depths": [1], "taus": {True: [4]}}}, "compare.taus key True",
+                id="compare_taus_bool_key",
+            ),
+            pytest.param(
                 "compare-depths",
                 {"compare": {"depths": [1], "taus": {1: [4]}, "kappas": {True: 2.0}}},
                 "compare.kappas key True",
+                id="compare_kappas_bool_key",
             ),
             # path keys take strings: file 0 opened standard input (pytest's capture holds /dev/null there)
-            ("run", {"output_dir": 5}, "'output_dir'"),
-            ("compare-depths", {"output_dir": 5, "compare": {"depths": [3]}}, "'output_dir'"),
-            ("run", {"topology": {"file": 0}}, "'file'"),
-            ("run", {"topology": {"file": True}}, "'file'"),
+            pytest.param("run", {"output_dir": 5}, "'output_dir'", id="output_dir_number_run"),
+            pytest.param(
+                "compare-depths", {"output_dir": 5, "compare": {"depths": [3]}}, "'output_dir'",
+                id="output_dir_number_compare",
+            ),
+            pytest.param("run", {"topology": {"file": 0}}, "'file'", id="topology_file_zero"),
+            pytest.param("run", {"topology": {"file": True}}, "'file'", id="topology_file_bool"),
             # a directory is not a readable file
-            ("run", {"topology": {"file": "."}}, "cannot read config file ."),
-            ("run", {"task": {"kind": "logistic", "pool": {"file": "."}}}, "cannot read task.pool.file ."),
+            pytest.param("run", {"topology": {"file": "."}}, "cannot read config file .", id="topology_file_directory"),
+            pytest.param(
+                "run", {"task": {"kind": "logistic", "pool": {"file": "."}}}, "cannot read task.pool.file .",
+                id="pool_file_directory",
+            ),
             # a holdout fraction lies in [0, 1]
-            (
+            pytest.param(
                 "run",
                 {"task": {"kind": "logistic", "pool": {"synthetic": {"samples": 400, "holdout_fraction": -0.5}}}},
                 "'holdout_fraction'",
+                id="holdout_negative",
             ),
-        ],
-        ids=[
-            "quantizer", "topology", "schedule", "theory", "compare_depths",
-            "quantizer_entry_shape", "frequencies_no_max", "t_edge_no_multipliers", "schedule_shape",
-            "topology_shape", "compare_kappas_shape",
-            "taus_scalar", "fanouts_scalar", "frequencies_scalar", "size_range_scalar",
-            "size_range_length", "theory_constant_list",
-            "lr_list", "seed_list", "dimension_list", "rounds_list", "kappa_list",
-            "kappa_depth_key", "taus_depth_key", "compare_quantizers_length",
-            "lr_zero_tiny_mlp", "lr_inf", "taus_length_run", "taus_length_theory",
-            "taus_length_compare", "compare_taus_length", "optimize_no_deadline", "optimize_alpha",
-            "compare_quantizer_kind", "compare_quantizer_levels", "t_edge_list_zero_rate",
-            "t_edge_list_too_long", "t_edge_multipliers_too_long",
-            "seed_fraction", "seed_inf", "rounds_fraction", "taus_fraction", "levels_fraction",
-            "compare_taus_fraction", "kappa_depth_key_fraction",
-            "weighted_string", "optimize_string",
-            "frequencies_nan_run", "frequencies_nan_optimize", "cycles_nan", "tx_power_inf",
-            "t_edge_negative_run", "t_edge_negative_optimize", "path_loss_exp_nan", "deadline_nan",
-            "batch_size_zero_run", "batch_size_zero_theory", "init_scale_nan_run", "init_scale_nan_theory",
-            "center_spread_nan_run", "center_spread_nan_theory", "lipschitz_inf",
-            "center_spread_negative", "sample_spread_negative", "pool_spread_negative",
-            "seed_bool", "taus_bool", "alpha_bool", "lr_bool", "frequencies_bool",
-            "dimension_zero", "samples_per_device_zero", "pool_dim_zero", "classes_zero",
-            "hidden_negative", "hidden_zero", "rounds_zero", "holdout_all", "samples_zero",
-            "zero_latency_optimize", "zero_latency_run",
-            "compare_taus_bool_key", "compare_kappas_bool_key",
-            "output_dir_number_run", "output_dir_number_compare", "topology_file_zero", "topology_file_bool",
-            "topology_file_directory", "pool_file_directory", "holdout_negative",
+            # a frequency range has min <= max, a finite distance apart
+            pytest.param(
+                "run",
+                {"latency": {"deadline": 1e9, "frequencies": {"min": 2e9, "max": 1e9}}},
+                "latency.frequencies needs min <= max",
+                id="frequencies_min_above_max",
+            ),
+            pytest.param(
+                "run",
+                {"latency": {"deadline": 1e9, "frequencies": {"min": -1e308, "max": 1e308}}},
+                "latency.frequencies needs min <= max",
+                id="frequencies_range_overflow",
+            ),
         ],
     )
     def test_domain_validation_error_exit_two(self, tmp_path, capsys, command, overrides, named):
@@ -1102,6 +1236,37 @@ class TestMainEntry:
             summary = json.loads((tmp_path / "out" / f"depth_{depth}" / "summary.json").read_text())
             assert summary["optimizer"] is not None
             assert len(summary["config"]["schedule"]["taus"]) == depth
+
+
+def key_table_row(section, key, kind, default):
+    """README's key-table line for one row of cli._KEYS."""
+    where, _, kinds = section.partition(" ")
+    path = f"`{key}`" if where == "config" else f"`{where}.{key}`"
+    name = "flag" if kind is bool else f"list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+    shown = "required" if default is None else "unset" if default is cli._OPTIONAL else f"`{default}`"
+    shown = shown.lower() if isinstance(default, bool) else shown
+    return f"| {path}{f' ({kinds})' if kinds else ''} | {name} | {shown} |"
+
+
+class TestKeyTable:
+    def test_each_rejected_value_exits_two_naming_the_key(self, tmp_path, capsys):
+        # every row of cli._KEYS, given each value its kind rejects (config_walk.REJECTED)
+        failures, path, keys = [], tmp_path / "walk.yaml", set()
+        for name, command, cfg, named in config_walk.cases(tmp_path):
+            path.write_text(yaml.safe_dump(cfg))
+            code = main([command, str(path)])
+            err = capsys.readouterr().err
+            keys.add(name.partition("=")[0])
+            if code != 2 or not err.startswith("config error: ") or named not in err:
+                failures.append(f"{command} {name}: exit {code}: {err[:200]}")
+        assert not failures, "\n".join(failures)
+        assert len(keys) == sum(map(len, cli._KEYS.values()))
+
+    def test_readme_lists_every_key_with_its_kind_and_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = re.search(r"\| key \| kind \| default \|\n\| --- \| --- \| --- \|\n(.*?)\n\n", readme, re.S).group(1)
+        rows = [key_table_row(section, *row) for section, rows in cli._KEYS.items() for row in rows]
+        assert table.splitlines() == rows
 
 
 class TestLoadConfig:

@@ -23,9 +23,12 @@ tree's path masked) and the bytes of every file written. It also runs
 `oracle_instance(s, i)` for every seed s in ORACLE_SEEDS and index i in
 ORACLE_INDICES (1,000 instances; seed 0 is the benchmark's pool), and
 compares every `OptimizerResult` field by its repr, so exactly, or the
-exception class and message. It prints each difference and exits 1 if there
-is any, else 0. It takes a few minutes on a 2-vCPU machine, and it does not
-run in CI, because it needs a second tree.
+exception class and message. Last, it builds the config-key walk of
+`tests/config_walk.py` from this tree's key table (every key given each value
+its kind rejects), runs each config through `hierfed.cli.main` in one
+subprocess per tree, and compares exit codes and stderr. It prints each
+difference and exits 1 if there is any, else 0. It takes a few minutes on a
+2-vCPU machine, and it does not run in CI, because it needs a second tree.
 """
 
 from __future__ import annotations
@@ -41,10 +44,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import yaml  # noqa: E402
 
+import config_walk  # noqa: E402
 from workloads import quadratic_deep_config, tiny_mlp_config  # noqa: E402
 
 COMMANDS = ("run", "theory", "optimize", "compare-depths")
@@ -68,6 +73,19 @@ for s in {ORACLE_SEEDS!r}:
         except Exception as exc:
             out = {{"raised": f"{{type(exc).__name__}}: {{exc}}"}}
         print(json.dumps([s, i, out]))
+"""
+
+
+# Run in each tree's subprocess on the walk's [name, command, config path]
+# list from stdin: one JSON line per config, [name, exit code, stderr].
+CONFIG_ERROR_SCRIPT = """
+import contextlib, io, json, sys
+from hierfed.cli import main
+for name, command, path in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, path])
+    print(json.dumps([name, code, err.getvalue()]))
 """
 
 
@@ -152,6 +170,37 @@ def optimizer_results(src: Path, work: Path) -> dict[tuple[int, int], dict[str, 
     return {(s, i): out for s, i, out in map(json.loads, proc.stdout.splitlines())}
 
 
+def write_walk(work: Path) -> list[list[str]]:
+    """The walk's configs written under `work`: [name, command, path] each."""
+    calls = []
+    for i, (name, command, cfg, _) in enumerate(config_walk.cases(work)):
+        path = work / f"walk{i}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        calls.append([name, command, str(path)])
+    return calls
+
+
+def config_error_results(src: Path, work: Path, calls: list[list[str]]) -> dict[str, tuple[int, str]]:
+    """{name: (exit code, masked stderr)} of every walk config on one tree."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CONFIG_ERROR_SCRIPT],
+        input=json.dumps(calls), cwd=work, env=tree_env(src), capture_output=True, text=True, check=True,
+    )
+    lines = map(json.loads, proc.stdout.splitlines())
+    return {name: (code, err.replace(str(src.parent), "<tree>")) for name, code, err in lines}
+
+
+def config_error_differences(ours: dict, theirs: dict) -> list[str]:
+    diffs = []
+    for name, (code, err) in ours.items():
+        p_code, p_err = theirs[name]
+        if code != p_code:
+            diffs.append(f"config error {name}: exit code {p_code} -> {code}")
+        elif err != p_err:
+            diffs.append(f"config error {name}: stderr differs")
+    return diffs
+
+
 def optimizer_differences(ours: dict, theirs: dict) -> list[str]:
     diffs = []
     for (s, i), out in ours.items():
@@ -191,13 +240,24 @@ def main(argv: list[str] | None = None) -> int:
         theirs = run_tree(parent_src, Path(tmp) / "parent", calls)
         solved = optimizer_results(ROOT / "src", Path(tmp) / "change-optimizer")
         p_solved = optimizer_results(parent_src, Path(tmp) / "parent-optimizer")
-    diffs = differences(ours, theirs) + optimizer_differences(solved, p_solved)
+        walk = Path(tmp) / "walk"
+        walk.mkdir()
+        walk_calls = write_walk(walk)
+        errors = config_error_results(ROOT / "src", walk, walk_calls)
+        p_errors = config_error_results(parent_src, walk, walk_calls)
+    diffs = (
+        differences(ours, theirs)
+        + optimizer_differences(solved, p_solved)
+        + config_error_differences(errors, p_errors)
+    )
     codes = sorted({code for code, *_ in ours.values()})
     counts = ", ".join(f"{sum(r[0] == c for r in ours.values())} exit {c}" for c in codes)
     raised = sum("raised" in out for out in solved.values())
+    exit_two = sum(code == 2 for code, _ in errors.values())
     print(
         f"{len(calls)} invocations per tree ({counts}); {len(solved)} optimizer solves per tree "
-        f"({raised} raised); {len(diffs)} differences"
+        f"({raised} raised); {len(errors)} config-error configs per tree ({exit_two} exit 2); "
+        f"{len(diffs)} differences"
     )
     for line in diffs:
         print(line)
