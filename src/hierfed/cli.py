@@ -100,6 +100,14 @@ def integer(value) -> int:
     return int(value)
 
 
+def non_negative_integer(value) -> int:
+    """integer(value) that is at least 0. The `kind` for the seed."""
+    value = integer(value)
+    if value < 0:
+        raise ValueError(f"{value} is below 0")
+    return value
+
+
 def positive_integer(value) -> int:
     """integer(value) that is at least 1. The `kind` for size keys."""
     value = integer(value)
@@ -173,7 +181,7 @@ def _scalar(cfg: dict, key: str, kind, where: str = "config", default=None):
 _OPTIONAL = object()
 _KEYS = {
     "config": (
-        ("seed", integer, None), ("alpha", finite, 0.5), ("lr", float, None), ("weighted", bool, False),
+        ("seed", non_negative_integer, None), ("alpha", finite, 0.5), ("lr", float, None), ("weighted", bool, False),
         ("output_dir", pathname, "."),
     ),
     "topology": (
@@ -193,7 +201,7 @@ _KEYS = {
     "task tiny_mlp": (("hidden", positive_integer, 16),),
     "task.pool": (("file", pathname, None), ("holdout_fraction", fraction, 0.2)),
     "task.pool.synthetic": (
-        ("samples", integer, 4000), ("classes", positive_integer, 10), ("dim", positive_integer, 8),
+        ("samples", positive_integer, 4000), ("classes", positive_integer, 10), ("dim", positive_integer, 8),
         ("spread", non_negative, 0.6), ("holdout_fraction", fraction, 0.2),
     ),
     "schedule": (("rounds", positive_integer, None), ("optimize", bool, False), ("taus", [integer], None)),

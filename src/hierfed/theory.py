@@ -1,19 +1,18 @@
 """Convergence condition, recursive architecture term, and rate bound.
 
-The learning-rate condition and the rate bound are evaluated exactly as
-stated for the general N-layer case; the no-quantization and two-layer
-specializations are transcribed independently so they can serve as oracles
-for the general forms. Term lists are reduced with math.fsum, since the
-tau-product terms can span many orders of magnitude.
+The learning-rate condition and the rate bound are evaluated as stated for
+the general N-layer case; the no-quantization and two-layer specializations
+are transcribed independently in floats so they can serve as oracles for the
+general forms. Every float is a rational, so the condition's sums and its
+value are formed exactly as Fractions and rounded once: its sign, which
+decides whether the bound applies, is exact at any float inputs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .engine import Schedule
 from .topology import Topology
@@ -58,31 +57,35 @@ class TheoryParams:
                 f"q ({len(self.q)}) and taus ({len(self.schedule.taus)}) must both "
                 f"have length N = {n}"
             )
-        if self.lipschitz <= 0 or self.mu <= 0:
-            raise ValueError("lipschitz and mu must be positive")
-        if self.sigma2 < 0 or self.gap0 < 0 or any(x < 0 for x in self.q):
-            raise ValueError("sigma2, gap0 and q entries must be non-negative")
+        if not (0 < self.lipschitz < math.inf and 0 < self.mu < math.inf):
+            raise ValueError("lipschitz and mu must be positive and finite")
+        if not all(0 <= x < math.inf for x in (self.sigma2, self.gap0, *self.q)):
+            raise ValueError("sigma2, gap0 and q entries must be non-negative and finite")
 
 
-def _layer_maxima(topo: Topology, taus: tuple[int, ...], q: tuple[float, ...]) -> list[float]:
+def _layer_maxima(topo: Topology, taus: tuple[int, ...], q: tuple) -> list:
     """Layer-wide maxima of the per-node recursive architecture terms for
-    layers 1..len(taus)-1, one pass per layer over the layer-1 descent chains.
+    layers 1..len(taus)-1, in the arithmetic of q (floats or Fractions).
 
     Layer-1 value for a node with subtree count c:
         c * q_2 * tau_1 * tau_2 + q_1 * (1 + q_2) * tau_1.
     A higher node adds its own quantization term to the worst child's count
     times that child's term; float rounding is monotone, so that nested max
-    equals, bit for bit, the max of the recursion along each descent chain.
+    equals, bit for bit, the max along each layer-1 descent chain, taken once
+    per distinct row of subtree counts, on which alone its value depends.
     """
-    anc = np.arange(topo.layer_sizes[1])  # each chain's node at the current layer
-    count = np.array(topo.subtree_devices[1])
-    values = count * q[1] * taus[0] * taus[1] + q[0] * (1.0 + q[1]) * taus[0]
-    maxima = [float(values.max())]
+    anc = range(topo.layer_sizes[1])  # each chain's node at the current layer
+    counts = [topo.subtree_devices[1]]  # each chain's subtree count, layer by layer
     for n in range(2, len(taus)):
-        anc = np.array(topo.parents[n - 1])[anc]
-        below, count = count, np.array(topo.subtree_devices[n])[anc]
-        values = count * q[n] * math.prod(taus[: n + 1]) + (1.0 + q[n]) * (below * values)
-        maxima.append(float(values.max()))
+        anc = [topo.parents[n - 1][a] for a in anc]
+        counts.append([topo.subtree_devices[n][a] for a in anc])
+    chains = set(zip(*counts))
+    values = [c[0] * q[1] * taus[0] * taus[1] + q[0] * (1 + q[1]) * taus[0] for c in chains]
+    maxima = [max(values)]
+    for n in range(2, len(taus)):
+        tau_prod = math.prod(taus[: n + 1])
+        values = [c[n - 1] * q[n] * tau_prod + (1 + q[n]) * (c[n - 2] * v) for c, v in zip(chains, values)]
+        maxima.append(max(values))
     return maxima
 
 
@@ -96,52 +99,40 @@ def recursion_A(params: TheoryParams, layer: int) -> float:
     return _layer_maxima(params.topology, params.schedule.taus, params.q)[layer - 1]
 
 
-def _condition_sums(params: TheoryParams) -> tuple[float, float]:
-    """(S, B) with condition value 1 - L^2 mu^2 S - L mu B; neither depends on mu.
+def _condition_sums(params: TheoryParams) -> tuple[Fraction, Fraction]:
+    """Exact (S, B) of the condition value 1 - L^2 mu^2 S - L mu B; neither depends on mu.
 
     N = 1 is summed as its pass-through embedding, which runs bit-identically:
     a cloud hop with tau = 1 and q = 0 above the single layer.
     """
-    taus, q = params.schedule.taus, params.q
+    taus, q = params.schedule.taus, tuple(map(Fraction, params.q))
     if len(taus) == 1:
-        taus, q = (*taus, 1), (*q, 0.0)
-    n = len(taus)
-    sq_terms = [taus[0] * (taus[0] - 1) / 2.0]
-    for idx in range(1, n):  # layers 2..N
-        tau_n = taus[idx]
-        sq_terms.append(tau_n * (tau_n - 1) / 2.0 * math.prod(taus[:idx]) ** 2)
-    sq_terms.append(q[0] * taus[1] * taus[0] ** 2)
-    arch = _layer_maxima(params.topology, taus, q)  # arch[k - 1] = recursion_A(params, k)
-    # architecture terms for layers 1..N-2
-    sq_terms += [math.prod(taus[: idx + 2]) * arch[idx - 1] for idx in range(1, n - 1)]
-    lin_terms = [math.prod(taus), arch[-1] / params.topology.n_devices]
-    return math.fsum(sorted(sq_terms)), math.fsum(sorted(lin_terms))
+        taus, q = (*taus, 1), (*q, Fraction(0))
+    arch = _layer_maxima(params.topology, taus, q)  # arch[k - 1] = recursion_A at layer k, exactly
+    sq = sum(t * (t - 1) // 2 * math.prod(taus[:idx]) ** 2 for idx, t in enumerate(taus))
+    sq += q[0] * taus[1] * taus[0] ** 2
+    sq += sum(math.prod(taus[: k + 2]) * arch[k - 1] for k in range(1, len(taus) - 1))  # layers 1..N-2
+    return sq, math.prod(taus) + arch[-1] / params.topology.n_devices
 
 
-def _lip_mu_squared(lip: float, mu: float, *factors: float) -> float:
-    """lip**2 * mu**2 * factors[0] * ..., left to right, where both squares
-    are normal floats and the product is finite; otherwise L mu (L mu
-    factors[0] ...). Past float range (** raises OverflowError) that is 0
-    when a factor is 0 and finite when only a square overflowed; below it it
-    keeps the digits a subnormal or zero square would have lost."""
+def _condition(lip: float, mu: float, sq: Fraction, lin: Fraction) -> Fraction:
+    x = Fraction(lip) * Fraction(mu)
+    return 1 - x * x * sq - x * lin
+
+
+def _round(value: Fraction) -> float:
+    """The float nearest `value`, or the infinity of its sign past float range; a
+    nonzero value that would round to 0 keeps its sign as the smallest subnormal."""
+    sign = (value > 0) - (value < 0)
     try:
-        lip2, mu2 = lip**2, mu**2
+        return float(value) or sign * math.ulp(0.0)
     except OverflowError:
-        lip2 = mu2 = math.inf
-    value = math.prod(factors, start=lip2 * mu2)
-    if value < math.inf and min(lip2, mu2) >= sys.float_info.min:
-        return value
-    lip_mu = lip * mu
-    return 0.0 if 0.0 in factors else lip_mu * math.prod(factors, start=lip_mu)
-
-
-def _condition_value(lip: float, mu: float, sq: float, lin: float) -> float:
-    return 1.0 - _lip_mu_squared(lip, mu, sq) - lip * mu * lin
+        return sign * math.inf
 
 
 def condition_lhs(params: TheoryParams) -> float:
-    """Left side of the learning-rate condition; the rate bound applies iff >= 0."""
-    return _condition_value(params.lipschitz, params.mu, *_condition_sums(params))
+    """Left side of the learning-rate condition, exact, rounded once; the bound applies iff >= 0."""
+    return _round(_condition(params.lipschitz, params.mu, *_condition_sums(params)))
 
 
 def error_bracket(
@@ -179,7 +170,7 @@ def rate_bound(params: TheoryParams, rounds: int) -> tuple[float, float, float]:
     speed = 2.0 * params.gap0 / (mu * rounds * math.prod(taus))
     bracket = error_bracket(taus, topo.layer_sizes[1:-1], topo.n_devices, params.q)
     tail = lip * mu * s2 / topo.n_devices * math.prod(1.0 + x for x in params.q)
-    error = _lip_mu_squared(lip, mu, 0.5, bracket, s2) + tail
+    error = _round((Fraction(lip) * Fraction(mu)) ** 2 * Fraction(bracket) * Fraction(s2) / 2) + tail
     return speed, error, speed + error
 
 
@@ -246,22 +237,20 @@ def corollary2_bound(params: TheoryParams, rounds: int) -> tuple[float, float, f
 
 
 def max_feasible_mu(params: TheoryParams) -> float:
-    """Largest learning rate with a non-negative condition value.
+    """Largest float learning rate whose exact condition value is >= 0.
 
-    The condition value 1 - L^2 mu^2 S - L mu B is a downward parabola in mu
-    with value 1 at mu = 0 and B >= prod(taus) >= 1, so its positive root
-    2 / (L (B + sqrt(B^2 + 4 S))) always exists. It is formed as
-    2 / (B + hypot(B, 2 sqrt(S))) / L, which overflows no intermediate where
-    the root itself is a float; from there the loops step, float by float, to
-    the mu whose condition value is >= 0 and whose next float's is < 0.
+    The condition value 1 - L^2 mu^2 S - L mu B falls from 1 at mu = 0 to its
+    root 2 / (L (B + sqrt(B^2 + 4S))). Formed in floats as 1 / (B/2 +
+    hypot(B/2, sqrt(S))) / L, whose denominator is finite wherever B and S
+    are, it lies within a few floats of the answer; the loops step from there.
     """
     sq, lin = _condition_sums(params)
     lip = params.lipschitz
-    mu = 2.0 / (lin + math.hypot(lin, 2.0 * math.sqrt(sq))) / lip
-    if mu <= 0.0:  # the root underflowed; stepping up from 0 would not end
-        raise ValueError(f"the condition's positive root underflows to {mu}")
-    while _condition_value(lip, mu, sq, lin) < 0.0:
+    mu = 1.0 / (lin / 2 + math.hypot(lin / 2, math.sqrt(sq))) / lip
+    while mu == math.inf or _condition(lip, mu, sq, lin) < 0:
         mu = math.nextafter(mu, 0.0)
-    while _condition_value(lip, math.nextafter(mu, math.inf), sq, lin) >= 0.0:
-        mu = math.nextafter(mu, math.inf)
+    while (up := math.nextafter(mu, math.inf)) < math.inf and _condition(lip, up, sq, lin) >= 0:
+        mu = up
+    if mu == 0.0:
+        raise ValueError("the condition's positive root underflows: no positive float learning rate meets it")
     return mu

@@ -20,6 +20,7 @@ _NUMERIC = _COMMON + (math.nan, math.inf)
 # the checks after the read (LatencyParams, lr > 0) reject those by name.
 REJECTED = {
     cli.integer: _NUMERIC + (2.5,),
+    cli.non_negative_integer: _NUMERIC + (2.5, -1),
     cli.positive_integer: _NUMERIC + (2.5, 0),
     cli.finite: _NUMERIC,
     cli.non_negative: _NUMERIC + (-0.5,),

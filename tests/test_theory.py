@@ -1,10 +1,13 @@
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_condition import condition, is_largest_feasible
 from hierfed.engine import Schedule
 from hierfed.theory import (
     LayerOutOfRange,
@@ -316,9 +319,9 @@ class TestMaxFeasibleMu:
     def test_root_property(self):
         p = params(FIG1, (3, 2, 2), (0.2, 0.1, 0.05), lipschitz=1.5)
         mu_star = max_feasible_mu(p)
-        val = condition_lhs(replace(p, mu=mu_star))
         scale = 1.0 + 1.5 * mu_star * math.prod(p.schedule.taus)
-        assert 0.0 <= val <= 1e-9 * scale
+        assert 0 <= condition(p, mu_star) <= 1e-9 * scale
+        assert condition(p, math.nextafter(mu_star, math.inf)) < 0
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -330,25 +333,22 @@ class TestMaxFeasibleMu:
         taus, q = zip(*layers)
         topo = random_tree(np.random.default_rng(tree_seed), len(layers))
         p = params(topo, taus, q, lipschitz=lipschitz)
-        mu = max_feasible_mu(p)
-        assert condition_lhs(replace(p, mu=mu)) >= 0.0
-        assert condition_lhs(replace(p, mu=math.nextafter(mu, math.inf))) < 0.0
+        assert is_largest_feasible(p, max_feasible_mu(p))
 
     def test_root_with_an_overflowing_product(self):
         # L (B + sqrt(B^2 + 4S)) passes float range here, but the root, about
         # 1e-309, is a subnormal float; the loops land on it as anywhere else
         p = params(FIG1, (2, 2, 2), (0.0, 0.0, 0.0), lipschitz=1e308)
         mu = max_feasible_mu(p)
-        assert 0.0 < mu < 1e-308
-        assert condition_lhs(replace(p, mu=mu)) >= 0.0
-        assert condition_lhs(replace(p, mu=math.nextafter(mu, math.inf))) < 0.0
+        assert 0.0 < mu < 1e-308 and is_largest_feasible(p, mu)
 
     def test_root_underflow_raises(self):
         # B is about 1e18 and S about 5e35, so the root 2 / (L (B + sqrt(B^2 + 4S)))
-        # is about 7e-327, below half the smallest subnormal: it rounds to 0,
-        # and stepping up from 0 float by float would not end
+        # is about 7e-327: not even the smallest subnormal meets the condition
+        p = params(FIG1, (10**6,) * 3, (0.0, 0.0, 0.0), lipschitz=1e308)
+        assert condition(p, math.ulp(0.0)) < 0
         with pytest.raises(ValueError, match="underflows"):
-            max_feasible_mu(params(FIG1, (10**6,) * 3, (0.0, 0.0, 0.0), lipschitz=1e308))
+            max_feasible_mu(p)
 
     def test_monotone_in_each_tau(self):
         # raising any single iteration count weakly shrinks the feasible rate
@@ -367,3 +367,50 @@ class TestErrorBracket:
         _, err, _ = rate_bound(p, 3)
         tail = 2.0 * 0.02 * 1.3 / 11 * math.prod(1 + x for x in p.q)
         assert err == pytest.approx(2.0**2 * 0.02**2 / 2 * bracket * 1.3 + tail, rel=1e-14)
+
+
+def swept_params(rng):
+    """A ragged tree of depth 1-5 with tau log-uniform in 1-200, q = 0 in a
+    fifth of cases and U(0, 3) per layer otherwise, and L log-uniform from
+    1e-320 to 1e300."""
+    depth = int(rng.integers(1, 6))
+    topo = random_tree(rng, depth)
+    taus = tuple(int(v) for v in np.exp(rng.uniform(0.0, math.log(200.0), size=depth)).round())
+    q = (0.0,) * depth if rng.random() < 0.2 else tuple(rng.uniform(0.0, 3.0, size=depth).tolist())
+    return params(topo, taus, q, lipschitz=float(10 ** rng.uniform(-320.0, 300.0)))
+
+
+class TestExactDecision:
+    """The condition's sign, checked against the independent Fraction
+    transcription in exact_condition.py."""
+
+    def test_sweep_of_ragged_trees(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            p = swept_params(rng)
+            mu = max_feasible_mu(p)
+            assert is_largest_feasible(p, mu)
+            for at in (mu, math.nextafter(mu, 0.0), math.nextafter(mu, math.inf), mu * rng.uniform(0.5, 2.0)):
+                if 0.0 < at < math.inf:
+                    exact, value = condition(p, at), condition_lhs(replace(p, mu=at))
+                    assert (value >= 0.0) == (exact >= 0)  # bound_applies reads the exact sign
+                    assert value != 0.0 or exact == 0
+
+    def test_condition_is_the_exact_value_rounded_once(self):
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            p = swept_params(rng)
+            p = replace(p, mu=min(max_feasible_mu(p) * rng.uniform(0.01, 1.5), sys.float_info.max))
+            exact = condition(p)
+            if abs(exact) <= sys.float_info.max:
+                assert condition_lhs(p) == float(exact)
+            else:
+                assert condition_lhs(p) == -math.inf
+
+    def test_error_term_past_float_range(self):
+        # L^2 overflows and mu^2 underflows, but L^2 mu^2 is about 0.01
+        p = params(FIG1, (3, 2, 2), (0.2, 0.4, 0.1), sigma2=1.3, mu=1e-201, lipschitz=1e200)
+        bracket = error_bracket(p.schedule.taus, FIG1.layer_sizes[1:-1], 11, p.q)
+        tail = 1e200 * 1e-201 * 1.3 / 11 * math.prod(1 + x for x in p.q)
+        exact = (Fraction(1e200) * Fraction(1e-201)) ** 2 * Fraction(bracket) * Fraction(1.3) / 2
+        assert rate_bound(p, 3)[1] == float(exact) + tail

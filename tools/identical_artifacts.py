@@ -23,20 +23,28 @@ tree's path masked) and the bytes of every file written. It also runs
 `oracle_instance(s, i)` for every seed s in ORACLE_SEEDS and index i in
 ORACLE_INDICES (1,000 instances; seed 0 is the benchmark's pool), and
 compares every `OptimizerResult` field by its repr, so exactly, or the
-exception class and message. Last, it builds the config-key walk of
-`tests/config_walk.py` from this tree's key table (every key given each value
-its kind rejects), runs each config through `hierfed.cli.main` in one
-subprocess per tree, and compares exit codes and stderr. It prints each
-difference and exits 1 if there is any, else 0. It takes a few minutes on a
-2-vCPU machine, and it does not run in CI, because it needs a second tree.
+exception class and message. It runs `theory.condition_lhs`,
+`max_feasible_mu` and `rate_bound`, in one subprocess per tree, on
+THEORY_TREES seeded ragged trees (depth 1-5, tau log-uniform in 1-200, q = 0
+in a fifth of cases and U(0, 3) otherwise, L log-uniform from 1e-320 to
+1e300, L mu log-uniform in 1e-6 to 1 over prod(taus)), and compares each
+value. Last, it builds the config-key walk of `tests/config_walk.py` from
+this tree's key table (every key given each value its kind rejects), runs
+each config through `hierfed.cli.main` in one subprocess per tree, and
+compares exit codes and stderr. It prints each difference, a JSON output's
+by field and a float's with its distance in floats, and exits 1 if there is
+any, else 0. It takes a few minutes on a 2-vCPU machine, and it does not
+run in CI, because it needs a second tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -57,6 +65,7 @@ SEEDS = (12345, 7, 99)
 THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 ORACLE_SEEDS = range(125)
 ORACLE_INDICES = range(8)
+THEORY_TREES = 1000
 
 # Run in each tree's subprocess: one JSON line per instance, mapping each
 # OptimizerResult field to its repr, or "raised" to the exception.
@@ -73,6 +82,42 @@ for s in {ORACLE_SEEDS!r}:
         except Exception as exc:
             out = {{"raised": f"{{type(exc).__name__}}: {{exc}}"}}
         print(json.dumps([s, i, out]))
+"""
+
+
+# Run in each tree's subprocess: one JSON line per ragged tree, mapping each
+# theory function to its value, or to the exception it raised.
+THEORY_SCRIPT = f"""
+import json, math
+import numpy as np
+from hierfed.engine import Schedule
+from hierfed.theory import TheoryParams, condition_lhs, max_feasible_mu, rate_bound
+from hierfed.topology import build_topology
+rng = np.random.default_rng(27)
+for index in range({THEORY_TREES}):
+    depth = int(rng.integers(1, 6))
+    sizes, parents = [1], []
+    for _ in range(depth):
+        sizes.insert(0, int(rng.integers(sizes[0], 3 * sizes[0] + 2)))
+        p = list(range(sizes[1])) + [int(rng.integers(0, sizes[1])) for _ in range(sizes[0] - sizes[1])]
+        rng.shuffle(p)
+        parents.insert(0, p)
+    taus = tuple(int(v) for v in np.exp(rng.uniform(0.0, math.log(200.0), size=depth)).round())
+    q = (0.0,) * depth if rng.random() < 0.2 else tuple(rng.uniform(0.0, 3.0, size=depth).tolist())
+    lip = float(10 ** rng.uniform(-320.0, 300.0))
+    mu = min(float(10 ** rng.uniform(-6.0, 0.0)) / lip / math.prod(taus), 1e308)
+    params = TheoryParams(
+        lipschitz=lip, sigma2=float(rng.uniform(0.0, 2.0)), mu=mu, gap0=float(rng.uniform(0.0, 3.0)), q=q,
+        topology=build_topology(sizes, parents=parents), schedule=Schedule(taus, 10),
+    )
+    out = {{}}
+    for name, call in (("condition_lhs", condition_lhs), ("max_feasible_mu", max_feasible_mu),
+                       ("rate_bound", lambda p: list(rate_bound(p, 10)))):
+        try:
+            out[name] = call(params)
+        except Exception as exc:
+            out[name] = f"raised {{type(exc).__name__}}: {{exc}}"
+    print(json.dumps([index, out]))
 """
 
 
@@ -170,6 +215,73 @@ def optimizer_results(src: Path, work: Path) -> dict[tuple[int, int], dict[str, 
     return {(s, i): out for s, i, out in map(json.loads, proc.stdout.splitlines())}
 
 
+def theory_results(src: Path, work: Path) -> dict[int, dict]:
+    """{tree index: {function: value or exception text}} of the theory sweep on one tree."""
+    work.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", THEORY_SCRIPT], cwd=work, env=tree_env(src), capture_output=True, text=True, check=True,
+    )
+    return {index: out for index, out in map(json.loads, proc.stdout.splitlines())}
+
+
+def float_steps(a: float, b: float) -> int:
+    """How many floats lie between a and b, counting b: 0 when equal."""
+
+    def ordinal(x: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(ordinal(a) - ordinal(b))
+
+
+def value_change(old, new) -> str:
+    """'old -> new', with the distance in floats when both are floats."""
+    text = f"{old!r} -> {new!r}"
+    if isinstance(old, float) and isinstance(new, float) and not math.isnan(old) and not math.isnan(new):
+        steps = float_steps(old, new)
+        text += f" ({steps} float{'s' * (steps != 1)} apart)"
+    return text
+
+
+def theory_differences(ours: dict, theirs: dict) -> list[str]:
+    diffs = []
+    for index, out in ours.items():
+        for name, new in out.items():
+            old = theirs[index][name]
+            if isinstance(new, list) and isinstance(old, list):  # rate_bound's three terms
+                pairs = [(f"{name}[{i}]", o, n) for i, (o, n) in enumerate(zip(old, new))]
+            else:
+                pairs = [(name, old, new)]
+            diffs += [f"theory tree {index}: {label} {value_change(o, n)}" for label, o, n in pairs if repr(o) != repr(n)]
+    return diffs
+
+
+def json_leaves(obj, path: str = ""):
+    """(dotted path, value) of every leaf of a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from json_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from json_leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def output_differences(label: str, new: bytes, old: bytes) -> list[str]:
+    """One line per differing field when both outputs are JSON, else one line."""
+    try:
+        leaves, p_leaves = dict(json_leaves(json.loads(new))), dict(json_leaves(json.loads(old)))
+    except ValueError:
+        return [f"{label} differs"]
+    diffs = []
+    for path in sorted(leaves.keys() | p_leaves.keys()):
+        old, new = p_leaves.get(path, "(absent)"), leaves.get(path, "(absent)")
+        if repr(old) != repr(new):
+            diffs.append(f"{label} {path}: {value_change(old, new)}")
+    return diffs
+
+
 def write_walk(work: Path) -> list[list[str]]:
     """The walk's configs written under `work`: [name, command, path] each."""
     calls = []
@@ -218,12 +330,14 @@ def differences(ours: dict, theirs: dict) -> list[str]:
         if code != p_code:
             diffs.append(f"{name}: exit code {p_code} -> {code}")
         if out != p_out:
-            diffs.append(f"{name}: stdout differs")
+            diffs += output_differences(f"{name}: stdout", out, p_out)
         if err != p_err:
             diffs.append(f"{name}: stderr differs")
         for path in sorted(files.keys() | p_files.keys()):
-            if files.get(path) != p_files.get(path):
-                diffs.append(f"{name}: {path} differs")
+            if path not in files or path not in p_files:
+                diffs.append(f"{name}: {path} written by one tree only")
+            elif files[path] != p_files[path]:
+                diffs += output_differences(f"{name}: {path}", files[path], p_files[path])
     return diffs
 
 
@@ -240,6 +354,8 @@ def main(argv: list[str] | None = None) -> int:
         theirs = run_tree(parent_src, Path(tmp) / "parent", calls)
         solved = optimizer_results(ROOT / "src", Path(tmp) / "change-optimizer")
         p_solved = optimizer_results(parent_src, Path(tmp) / "parent-optimizer")
+        theory = theory_results(ROOT / "src", Path(tmp) / "change-theory")
+        p_theory = theory_results(parent_src, Path(tmp) / "parent-theory")
         walk = Path(tmp) / "walk"
         walk.mkdir()
         walk_calls = write_walk(walk)
@@ -248,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     diffs = (
         differences(ours, theirs)
         + optimizer_differences(solved, p_solved)
+        + theory_differences(theory, p_theory)
         + config_error_differences(errors, p_errors)
     )
     codes = sorted({code for code, *_ in ours.values()})
@@ -256,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     exit_two = sum(code == 2 for code, _ in errors.values())
     print(
         f"{len(calls)} invocations per tree ({counts}); {len(solved)} optimizer solves per tree "
-        f"({raised} raised); {len(errors)} config-error configs per tree ({exit_two} exit 2); "
+        f"({raised} raised); {len(theory)} theory trees per tree; "
+        f"{len(errors)} config-error configs per tree ({exit_two} exit 2); "
         f"{len(diffs)} differences"
     )
     for line in diffs:
