@@ -133,6 +133,14 @@ def non_negative(value) -> float:
     return value
 
 
+def positive(value) -> float:
+    """finite(value) that is > 0. The `kind` for lr."""
+    value = finite(value)
+    if value <= 0.0:
+        raise ValueError(f"{value} is not above 0")
+    return value
+
+
 def fraction(value) -> float:
     """finite(value) in [0, 1]. The `kind` for holdout_fraction."""
     value = finite(value)
@@ -181,7 +189,7 @@ def _scalar(cfg: dict, key: str, kind, where: str = "config", default=None):
 _OPTIONAL = object()
 _KEYS = {
     "config": (
-        ("seed", non_negative_integer, None), ("alpha", finite, 0.5), ("lr", float, None), ("weighted", bool, False),
+        ("seed", non_negative_integer, None), ("alpha", finite, 0.5), ("lr", positive, None), ("weighted", bool, False),
         ("output_dir", pathname, "."),
     ),
     "topology": (
@@ -428,8 +436,6 @@ def _setup(cfg: dict, command: str = "run") -> _Setup:
     if command == "optimize":
         return s
     s.lr, s.weighted = _read(cfg, "config", "lr", "weighted").values()
-    if not 0.0 < s.lr < math.inf:
-        raise ConfigError(f"lr must be positive and finite, got {s.lr}")
     theory = _section(cfg, "theory", required=False)
     s.theory = {**theory, **_read(theory, "theory")}
     scale = task_resolved["init_scale"]
@@ -460,10 +466,17 @@ def _theory_block(s: _Setup) -> dict | None:
 
     The constants are the task's own (Task.theory_constants), each
     overridden by the config's theory key of the same name; `sources` says
-    where each came from. The block is null when one of them is missing.
+    where each came from. The block is null when one of them is missing; a
+    task constant that is not finite, as when a spread overflows, is a config
+    error that names the theory key overriding it.
     """
     given = {k: s.theory[k] for k in _THEORY_CONSTANTS if s.theory.get(k) is not None}
-    constants = {**s.task.theory_constants(s.w0, s.weighted), **given}
+    with np.errstate(over="ignore", invalid="ignore"):  # a constant past float range is named below
+        supplied = s.task.theory_constants(s.w0, s.weighted)
+    if bad := [k for k, v in supplied.items() if k not in given and not math.isfinite(v)]:
+        found, keys = ", ".join(f"{k} = {supplied[k]}" for k in bad), ", ".join(f"theory.{k}" for k in bad)
+        raise ConfigError(f"the {s.task.kind} task supplied non-finite theory constants {found}; {keys} override them")
+    constants = {**supplied, **given}
     if len(constants) < len(_THEORY_CONSTANTS):
         return None
     with _config_errors():

@@ -238,6 +238,30 @@ _MAX_ITERS = 200  # or after this many AGMA steps
 _COMM_TOL = 1e-6  # closed form: communication is negligible below this fraction of t_CP
 
 
+def _newton_solve(t: float, hr, c: float, gc, hc, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with H x = rhs for the Hessian H = A + u u^T of t f + phi (t = 0: of
+    phi alone, which sets t0), A = t hr - hc/c + diag(1/y^2) positive
+    definite and u = gc/c. LAPACK solves H; where it finds H singular, as at
+    alpha = 1 near the deadline (hr = 0, and u u^T swamps the diagonal),
+    Sherman-Morrison solves it from A (Boyd & Vandenberghe, Convex
+    Optimization, C.4.3)."""
+    stride = len(y) + 1  # along the diagonal of the flattened matrix
+    a = t * hr - hc / c
+    hess = a + gc[:, None] * gc[None, :] / c**2
+    hess.ravel()[::stride] += 1.0 / y**2
+    try:
+        return np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    a.ravel()[::stride] += 1.0 / y**2
+    u = gc / c
+    try:
+        a_rhs, a_u = np.linalg.solve(a, np.column_stack((rhs, u))).T
+    except np.linalg.LinAlgError as exc:
+        raise SubproblemFailure("singular Newton system") from exc
+    return a_rhs - a_u * float(u @ a_rhs) / (1.0 + float(u @ a_u))
+
+
 def _solve_inner(
     obj_exps: np.ndarray,
     obj_logc: np.ndarray,
@@ -264,7 +288,9 @@ def _solve_inner(
     once, in full (LSE value, gradient and Hessian): the deadline table at
     each positive one, the objective table where that is feasible, and the
     solver keeps the accepted point's results, so y0 and each accepted point
-    are evaluated once for all phases. y0 must be strictly feasible. Returns
+    are evaluated once for all phases. The t0 system and every Newton system
+    go through _newton_solve, which falls back to Sherman-Morrison where
+    LAPACK finds the matrix singular. y0 must be strictly feasible. Returns
     the optimal y and the Newton step count; raises SubproblemFailure rather
     than return an unconverged point.
     """
@@ -273,19 +299,14 @@ def _solve_inner(
     f, gr, hr = _lse(obj_exps, obj_logc, y)
     f -= float(lin @ y)
     c, gc, hc = _lse(g_exps, g_logc, y)
-    h_grad_f = np.linalg.solve(-hc / c + np.outer(gc, gc) / c**2 + np.diag(1.0 / y**2), gr - lin)
+    h_grad_f = _newton_solve(0.0, hr, c, gc, hc, y, gr - lin)
     den = float((gr - lin) @ h_grad_f)
     t = max(float((gc / c + 1.0 / y) @ h_grad_f) / den, 1.0) if 0.0 < den < math.inf else 1.0
     steps = 0
     for _ in range(_MAX_PHASES):
         for _ in range(_MAX_NEWTON):
             grad = t * (gr - lin) - gc / c - 1.0 / y
-            hess = t * hr - hc / c + gc[:, None] * gc[None, :] / c**2
-            hess.ravel()[::m] += 1.0 / y**2  # the diagonal, in place (m = n + 1)
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError as exc:
-                raise SubproblemFailure("singular Newton system") from exc
+            step = _newton_solve(t, hr, c, gc, hc, y, -grad)
             lam2 = float(-grad @ step)
             value = t * f - math.log(-c) - float(np.log(y).sum())
             if lam2 / 2 <= _EPS * max(1.0, abs(value)):

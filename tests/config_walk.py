@@ -17,13 +17,14 @@ from hierfed import cli
 _COMMON = (True, "x", [1], {})
 _NUMERIC = _COMMON + (math.nan, math.inf)
 # The values each kind rejects, whatever the key. float keys take NaN and inf:
-# the checks after the read (LatencyParams, lr > 0) reject those by name.
+# LatencyParams, after the read, rejects those by name.
 REJECTED = {
     cli.integer: _NUMERIC + (2.5,),
     cli.non_negative_integer: _NUMERIC + (2.5, -1),
     cli.positive_integer: _NUMERIC + (2.5, 0),
     cli.finite: _NUMERIC,
     cli.non_negative: _NUMERIC + (-0.5,),
+    cli.positive: _NUMERIC + (0, -0.5),
     cli.fraction: _NUMERIC + (1.5,),
     cli.pathname: (True, [1], {}, 0),  # "x" is a path; 0 would open standard input
     float: _COMMON,
@@ -75,9 +76,19 @@ def _base_name(section: str, key: str) -> str:
     return "quadratic"
 
 
+def commands(where: str, key: str) -> tuple[str, ...]:
+    """The subcommands that read a key of section `where`: compare.* only
+    compare-depths and output_dir only run; run and theory read every other
+    key. optimize is left out: it stops before lr, weighted, theory.* and the
+    schedule flags."""
+    if where == "compare":
+        return ("compare-depths",)
+    return ("run",) if key == "output_dir" else ("run", "theory")
+
+
 def cases(workdir: Path):
     """(name, command, config, text stderr must hold) of every walk case:
-    compare.* under compare-depths, every other key under run."""
+    each row under each of its `commands`."""
     configs = bases(workdir)
     for section, rows in cli._KEYS.items():
         where, _, kinds = section.partition(" ")
@@ -89,6 +100,6 @@ def cases(workdir: Path):
                 for part in parents:
                     node = node.setdefault(part, {})
                 node[key] = value
-                command = "compare-depths" if where == "compare" else "run"
                 name = ".".join(parents + [key]) + (f"({kinds})" if kinds else "") + f"={value!r}"
-                yield name, command, cfg, f"{where} key {key!r}"
+                for command in commands(where, key):
+                    yield name, command, cfg, f"{where} key {key!r}"

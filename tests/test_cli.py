@@ -606,7 +606,6 @@ class TestMainEntry:
                 "run", {"topology": {"layer_sizes": [8, 4, 2, 1], "fanouts": [2, 2]}}, "fanouts", id="topology"
             ),
             pytest.param("run", {"schedule": {"taus": [0, 1, 1], "rounds": 8}}, "iteration counts", id="schedule"),
-            pytest.param("run", {"lr": -0.05}, "lr must be positive", id="theory"),  # rejected before training
             pytest.param(  # reduce_depth needs a uniform fan-out tree
                 "compare-depths",
                 {
@@ -653,7 +652,6 @@ class TestMainEntry:
             ),
             pytest.param("theory", {"theory": {"sigma2": [1]}}, "'sigma2'", id="theory_constant_list"),
             # scalar keys given a list
-            pytest.param("run", {"lr": [0.1]}, "'lr'", id="lr_list"),
             pytest.param("run", {"seed": [1]}, "'seed'", id="seed_list"),
             pytest.param("run", {"task": {"kind": "quadratic", "dimension": [4]}}, "'dimension'", id="dimension_list"),
             pytest.param("run", {"schedule": {"taus": [2, 1, 1], "rounds": [3]}}, "'rounds'", id="rounds_list"),
@@ -672,14 +670,13 @@ class TestMainEntry:
                 "compare-depths", {"quantizers": [{"kind": "identity"}] * 5, "compare": {"depths": [3]}}, "3 entries",
                 id="compare_quantizers_length",
             ),
-            # a task without theory constants trains with any lr unless _setup rejects it
+            # a task without theory constants trains with any lr unless its read rejects it
             pytest.param(
                 "run",
                 {"task": {"kind": "tiny_mlp", "pool": {"synthetic": {"samples": 400}}}, "lr": 0},
-                "lr must be positive",
+                "config key 'lr'",
                 id="lr_zero_tiny_mlp",
             ),
-            pytest.param("theory", {"lr": "inf"}, "lr must be positive", id="lr_inf"),
             # run and theory name the same key
             pytest.param("run", {"schedule": {"taus": [2, 1], "rounds": 8}}, "schedule.taus", id="taus_length_run"),
             pytest.param(
@@ -1172,6 +1169,21 @@ class TestMainEntry:
         rows = (out / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + cfg["schedule"]["rounds"]
 
+    def test_theory_names_task_constants_past_float_range(self, tmp_path, capsys):
+        # the centers' squares overflow: the task's sigma2 is inf and its gap0 inf - inf;
+        # under the suite's error::RuntimeWarning a numpy warning would exit 1
+        cfg = quad_config(tmp_path)
+        cfg["task"]["center_spread"] = 1e200
+        path = self.write(tmp_path, cfg)
+        assert main(["theory", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the quadratic task supplied non-finite theory constants")
+        assert "sigma2 = inf" in err and "gap0 = nan" in err and "theory.sigma2, theory.gap0" in err
+        assert "lipschitz" not in err
+        assert main(["run", path]) == 4
+        cfg["theory"] = {"sigma2": 1.0, "gap0": 1.0}
+        assert main(["theory", self.write(tmp_path, cfg)]) == 0
+
     def test_theory_with_a_huge_lipschitz(self, tmp_path, capsys):
         # L (B + sqrt(B^2 + 4S)) passes float range; the largest feasible lr does not
         assert main(["theory", self.write(tmp_path, quad_config(tmp_path, theory={"lipschitz": 1e308}))]) == 0
@@ -1246,17 +1258,20 @@ def key_table_row(section, key, kind, default):
 
 class TestKeyTable:
     def test_each_rejected_value_exits_two_naming_the_key(self, tmp_path, capsys):
-        # every row of cli._KEYS, given each value its kind rejects (config_walk.REJECTED)
-        failures, path, keys = [], tmp_path / "walk.yaml", set()
+        # every row of cli._KEYS, given each value its kind rejects (config_walk.REJECTED),
+        # under each subcommand that reads it
+        failures, path, runs = [], tmp_path / "walk.yaml", set()
         for name, command, cfg, named in config_walk.cases(tmp_path):
             path.write_text(yaml.safe_dump(cfg))
             code = main([command, str(path)])
             err = capsys.readouterr().err
-            keys.add(name.partition("=")[0])
+            runs.add((command, name.partition("=")[0]))
             if code != 2 or not err.startswith("config error: ") or named not in err:
                 failures.append(f"{command} {name}: exit {code}: {err[:200]}")
         assert not failures, "\n".join(failures)
-        assert len(keys) == sum(map(len, cli._KEYS.values()))
+        keys = [(section.partition(" ")[0], row[0]) for section, rows in cli._KEYS.items() for row in rows]
+        assert len(runs) == sum(len(config_walk.commands(where, key)) for where, key in keys)
+        assert {command for command, _ in runs} == {"run", "theory", "compare-depths"}
 
     def test_readme_lists_every_key_with_its_kind_and_default(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

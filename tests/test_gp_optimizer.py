@@ -293,13 +293,25 @@ class TestTightDeadlines:
     @pytest.mark.xfail(
         raises=SubproblemFailure,
         strict=True,
-        reason="at alpha = 1, J+ is one monomial whose log-sum-exp Hessian is 0, so near the deadline "
-        "the Newton matrix is gc gc^T / c^2 (entries about 7.7e15) plus diag(1/y^2) (about 0.03, "
-        "below half an ulp of 7.7e15): rank one, and LAPACK meets a zero pivot",
+        reason="trial points land one ulp outside the deadline, so -log(-LSE(g)) is noise; centering stalls",
     )
+    def test_deadline_roundoff_stall_draw_460(self):
+        # draw 460 of tight_spec(np.random.default_rng(2026)), 1 of 600 draws:
+        # "centering took over 100 Newton steps at t = 1.07e+10"
+        spec = make_spec(
+            0.9, (22, 18), 44, (0.0, 0.0, 0.0), [0.729141386231129, 0.57436588366197],
+            deadline=3.979906824036173, cycles=2749597.340035251,
+        )
+        res = optimize(spec)
+        assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0
+
     def test_alpha_one_singular_newton_instance(self):
-        # the optimize inputs of tests/test_cli.py's quad_config at alpha 1:
-        # "singular Newton system" at every deadline from 1e4 to 1e9; alpha 0.999 solves
+        # the optimize inputs of tests/test_cli.py's quad_config at alpha 1. J+
+        # is one monomial whose log-sum-exp Hessian is 0, so near the deadline
+        # the Newton matrix is gc gc^T / c^2 (entries about 7.7e15) plus
+        # diag(1/y^2) (about 0.03, below half an ulp of 7.7e15): rank one, and
+        # LAPACK meets a zero pivot, in the t0 solve and in centering. Both
+        # fall back to Sherman-Morrison, at every deadline from 1e4 to 1e9.
         from hierfed.cli import _setup
 
         cfg = {
@@ -310,9 +322,11 @@ class TestTightDeadlines:
             "alpha": 1.0,
             "latency": {"deadline": 1e9},
         }
-        spec = _setup(cfg, "optimize").objective()
-        res = optimize(spec)
-        assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0
+        for deadline in (1e4, 1e5, 1e6, 1e7, 1e8, 1e9):
+            cfg["latency"]["deadline"] = deadline
+            spec = _setup(cfg, "optimize").objective()
+            res = optimize(spec)
+            assert res.slack >= 0.0 and g_value(spec, res.taus_integer) <= 1.0, deadline
 
 
 class TestInnerSolverBounds:

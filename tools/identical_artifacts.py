@@ -19,18 +19,22 @@ tree's `src` first on PYTHONPATH and BLAS pinned to one thread. The configs:
 
 For each invocation it compares the exit code, stdout, stderr (with each
 tree's path masked) and the bytes of every file written. It also runs
-`gp_optimizer.optimize`, in one subprocess per tree, on perfbench's
-`oracle_instance(s, i)` for every seed s in ORACLE_SEEDS and index i in
-ORACLE_INDICES (1,000 instances; seed 0 is the benchmark's pool), and
-compares every `OptimizerResult` field by its repr, so exactly, or the
-exception class and message. It runs `theory.condition_lhs`,
+`gp_optimizer.optimize`, in one subprocess per tree, on 2,000 specs:
+perfbench's `oracle_instance(s, i)` for every seed s in ORACLE_SEEDS and
+index i in ORACLE_INDICES (1,000 instances; seed 0 is the benchmark's pool),
+and the first draws of `tests/test_gp_optimizer.py`'s spec generators in
+SPEC_DRAWS (400 `random_spec` draws from `default_rng(5)` and 600
+`tight_spec` draws from `default_rng(2026)`). It compares every
+`OptimizerResult` field by its repr, so exactly, or the exception class and
+message. It runs `theory.condition_lhs`,
 `max_feasible_mu` and `rate_bound`, in one subprocess per tree, on
 THEORY_TREES seeded ragged trees (depth 1-5, tau log-uniform in 1-200, q = 0
 in a fifth of cases and U(0, 3) otherwise, L log-uniform from 1e-320 to
 1e300, L mu log-uniform in 1e-6 to 1 over prod(taus)), and compares each
 value. Last, it builds the config-key walk of `tests/config_walk.py` from
-this tree's key table (every key given each value its kind rejects), runs
-each config through `hierfed.cli.main` in one subprocess per tree, and
+this tree's key table (every key given each value its kind rejects, under
+each subcommand that reads it), runs each config through `hierfed.cli.main`
+in one subprocess per tree, and
 compares exit codes and stderr. It prints each difference, a JSON output's
 by field and a float's with its distance in floats, and exits 1 if there is
 any, else 0. It takes a few minutes on a 2-vCPU machine, and it does not
@@ -65,23 +69,35 @@ SEEDS = (12345, 7, 99)
 THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 ORACLE_SEEDS = range(125)
 ORACLE_INDICES = range(8)
+SPEC_DRAWS = (("random_spec", 5, 400), ("tight_spec", 2026, 600))  # (generator, seed, draws)
 THEORY_TREES = 1000
 
-# Run in each tree's subprocess: one JSON line per instance, mapping each
-# OptimizerResult field to its repr, or "raised" to the exception.
+# Run in each tree's subprocess: one JSON line per spec, its label and a map
+# of each OptimizerResult field to its repr, or of "raised" to the exception.
 OPTIMIZER_SCRIPT = f"""
 import dataclasses, json, sys
-sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import numpy as np
+sys.path[:0] = [{str(ROOT / "perfbench")!r}, {str(ROOT / "tests")!r}]
+import test_gp_optimizer
 from workloads import oracle_instance
 from hierfed.gp_optimizer import optimize
-for s in {ORACLE_SEEDS!r}:
-    for i in {ORACLE_INDICES!r}:
-        try:
-            res = optimize(oracle_instance(s, i))
-            out = {{f.name: repr(getattr(res, f.name)) for f in dataclasses.fields(res)}}
-        except Exception as exc:
-            out = {{"raised": f"{{type(exc).__name__}}: {{exc}}"}}
-        print(json.dumps([s, i, out]))
+
+def specs():
+    for s in {ORACLE_SEEDS!r}:
+        for i in {ORACLE_INDICES!r}:
+            yield f"oracle_instance({{s}}, {{i}})", oracle_instance(s, i)
+    for name, seed, draws in {SPEC_DRAWS!r}:
+        rng = np.random.default_rng(seed)
+        for k in range(draws):
+            yield f"{{name}} draw {{k}}", getattr(test_gp_optimizer, name)(rng)
+
+for label, spec in specs():
+    try:
+        res = optimize(spec)
+        out = {{f.name: repr(getattr(res, f.name)) for f in dataclasses.fields(res)}}
+    except Exception as exc:
+        out = {{"raised": f"{{type(exc).__name__}}: {{exc}}"}}
+    print(json.dumps([label, out]))
 """
 
 
@@ -205,14 +221,14 @@ def run_tree(src: Path, work: Path, calls) -> dict[str, tuple]:
     return results
 
 
-def optimizer_results(src: Path, work: Path) -> dict[tuple[int, int], dict[str, str]]:
-    """{(seed, index): {field: repr}} of every oracle instance's solve on one tree."""
+def optimizer_results(src: Path, work: Path) -> dict[str, dict[str, str]]:
+    """{spec label: {field: repr}} of every spec's solve on one tree."""
     work.mkdir(parents=True)
     proc = subprocess.run(
         [sys.executable, "-c", OPTIMIZER_SCRIPT],
         cwd=work, env=tree_env(src), capture_output=True, text=True, check=True,
     )
-    return {(s, i): out for s, i, out in map(json.loads, proc.stdout.splitlines())}
+    return dict(map(json.loads, proc.stdout.splitlines()))
 
 
 def theory_results(src: Path, work: Path) -> dict[int, dict]:
@@ -288,7 +304,7 @@ def write_walk(work: Path) -> list[list[str]]:
     for i, (name, command, cfg, _) in enumerate(config_walk.cases(work)):
         path = work / f"walk{i}.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        calls.append([name, command, str(path)])
+        calls.append([f"{command} {name}", command, str(path)])
     return calls
 
 
@@ -315,11 +331,11 @@ def config_error_differences(ours: dict, theirs: dict) -> list[str]:
 
 def optimizer_differences(ours: dict, theirs: dict) -> list[str]:
     diffs = []
-    for (s, i), out in ours.items():
-        p_out = theirs[s, i]
+    for label, out in ours.items():
+        p_out = theirs[label]
         for name in sorted(out.keys() | p_out.keys()):
             if out.get(name) != p_out.get(name):
-                diffs.append(f"optimize oracle_instance({s}, {i}): {name} {p_out.get(name)} -> {out.get(name)}")
+                diffs.append(f"optimize {label}: {name} {p_out.get(name)} -> {out.get(name)}")
     return diffs
 
 
