@@ -46,7 +46,6 @@ from .topology import Topology, build_topology, reduce_depth
 _TASK_GEN_STREAM = 3
 _FREQ_STREAM = 4
 _INIT_STREAM = 5
-_THEORY_CONSTANTS = ("lipschitz", "sigma2", "gap0")
 
 
 class ConfigError(ValueError):
@@ -126,7 +125,7 @@ def finite(value) -> float:
 
 
 def non_negative(value) -> float:
-    """finite(value) that is >= 0. The `kind` for spreads."""
+    """finite(value) that is >= 0. The `kind` for spreads, sigma2 and gap0."""
     value = finite(value)
     if value < 0.0:
         raise ValueError(f"{value} is below 0")
@@ -134,7 +133,7 @@ def non_negative(value) -> float:
 
 
 def positive(value) -> float:
-    """finite(value) that is > 0. The `kind` for lr."""
+    """finite(value) that is > 0. The `kind` for lr and lipschitz."""
     value = finite(value)
     if value <= 0.0:
         raise ValueError(f"{value} is not above 0")
@@ -221,9 +220,12 @@ _KEYS = {
     ),
     "latency.frequencies": (("min", finite, None), ("max", finite, None)),
     "latency.t_edge": (("multipliers", [float], None),),
-    "theory": tuple((k, finite, _OPTIONAL) for k in _THEORY_CONSTANTS),
+    "theory": (
+        ("lipschitz", positive, _OPTIONAL), ("sigma2", non_negative, _OPTIONAL), ("gap0", non_negative, _OPTIONAL),
+    ),
     "compare": (("depths", [integer], None), ("threshold", finite, 1e-4)),
 }
+_THEORY_CONSTANTS = tuple(key for key, _, _ in _KEYS["theory"])
 
 
 def _read(cfg: dict, section: str, *keys: str, **given) -> dict:

@@ -172,20 +172,6 @@ def _g_terms(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(exps), np.array([math.log(scale * c) if c > 0 else -math.inf for c in coeffs])
 
 
-def _posynomial(terms: tuple[np.ndarray, np.ndarray], taus) -> float:
-    exps, logc = terms
-    y = np.log(_check_taus(taus))
-    return float(np.sum(np.exp(exps @ y + logc)))
-
-
-def j_plus(spec: ObjectiveSpec, taus) -> float:
-    return _posynomial(_j_plus_terms(spec), taus)
-
-
-def j_minus(spec: ObjectiveSpec, taus) -> float:
-    return spec.error_weight + _posynomial(_u_terms(spec), taus)
-
-
 def g_value(spec: ObjectiveSpec, taus) -> float:
     """Deadline value G = round latency / (T_d / T), with the latency and the
     per-round budget written as deadline_ok writes them. Division is
@@ -197,11 +183,13 @@ def g_value(spec: ObjectiveSpec, taus) -> float:
 
 
 def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
-    """log-sum-exp value, gradient, Hessian of a posynomial in log variables.
+    """log-sum-exp value, gradient, Hessian of a posynomial in log variables,
+    the one evaluator of the term tables: _solve_inner returns the objective's
+    value at its point, and agma_step reads it from there.
 
     Shifts, exponentiates and normalizes in place, and reduces with the
-    ufuncs that ndarray.max and .sum call: the same arithmetic as
-    _lse_value's, with fewer temporaries and calls."""
+    ufuncs that ndarray.max and .sum call: the same arithmetic as the
+    out-of-place form, with fewer temporaries and calls."""
     z = exps @ y
     z += logc
     m = float(np.maximum.reduce(z))
@@ -214,13 +202,6 @@ def _lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
     grad = exps.T @ pi
     hess = exps.T @ (pi[:, None] * exps) - grad[:, None] * grad[None, :]
     return value, grad, hess
-
-
-def _lse_value(exps: np.ndarray, logc: np.ndarray, y: np.ndarray) -> float:
-    """log-sum-exp value alone, for agma_step's delta at its two candidates."""
-    z = exps @ y + logc
-    m = float(z.max())
-    return m + math.log(float(np.exp(z - m).sum()))
 
 
 # Barrier-method settings of _solve_inner (Boyd & Vandenberghe, Convex
@@ -269,7 +250,7 @@ def _solve_inner(
     g_exps: np.ndarray,
     g_logc: np.ndarray,
     y0: np.ndarray,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, float, int]:
     """Minimize f(y) = LSE(obj)(y) - lin . y  s.t.  LSE(g)(y) <= 0 and y >= 0.
 
     Barrier method: for t = t0, 20 t0, 400 t0, ... center t f(y) + phi(y),
@@ -291,8 +272,8 @@ def _solve_inner(
     are evaluated once for all phases. The t0 system and every Newton system
     go through _newton_solve, which falls back to Sherman-Morrison where
     LAPACK finds the matrix singular. y0 must be strictly feasible. Returns
-    the optimal y and the Newton step count; raises SubproblemFailure rather
-    than return an unconverged point.
+    the optimal y, f(y) as the solver already holds it, and the Newton step
+    count; raises SubproblemFailure rather than return an unconverged point.
     """
     m = len(y0) + 1
     y = y0.copy()
@@ -333,7 +314,7 @@ def _solve_inner(
         else:
             raise SubproblemFailure(f"centering took over {_MAX_NEWTON} Newton steps at t = {t:.3g}")
         if m / t <= _EPS * max(1.0, abs(f)):
-            return y, steps
+            return y, f, steps
         t *= _T_GROWTH
     raise SubproblemFailure(f"duality gap above tolerance after {_MAX_PHASES} barrier phases")
 
@@ -372,6 +353,8 @@ def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
     monomial of J-; they sum to one by construction. With the ratio
     constraint active, delta = (J+ * beta_0^beta_0 * prod (beta_k/u_k)^beta_k)
     ^(1/beta_0) - err_weight, leaving a convex minimization over tau only.
+    The solve's point takes its delta from the value _solve_inner returns
+    with it; only the incoming point's objective is evaluated here.
     """
     arr = _check_taus(taus)
     if g_value(spec, arr) > 1.0 + 1e-9:
@@ -393,16 +376,14 @@ def agma_step(spec: ObjectiveSpec, taus, delta: float) -> AgmaStep:
 
     obj_exps, obj_logc = _j_plus_terms(spec)
     g_exps, g_logc = _g_terms(spec)
-
-    def delta_at(yv: np.ndarray) -> float:
-        r = _lse_value(obj_exps, obj_logc, yv) - float(lin @ yv) + const
-        return math.exp(r / beta0) - spec.error_weight
-
     start = _strictly_feasible_start(spec, arr)
-    y_new, newton_steps = _solve_inner(obj_exps, obj_logc, lin, g_exps, g_logc, start)
+    y_new, f_new, newton_steps = _solve_inner(obj_exps, obj_logc, lin, g_exps, g_logc, start)
     # the incoming point is subproblem-feasible too (geometric-mean weights
-    # match there, so its delta equals the current one); keep the better point
-    candidates = [(delta_at(y_new), y_new), (delta_at(y_cur), y_cur)]
+    # match there, so its delta equals the current one); keep the smaller
+    # delta, not the smaller f, which exp may round to the same delta; a tie
+    # keeps y_new
+    f_cur = _lse(obj_exps, obj_logc, y_cur)[0] - float(lin @ y_cur)
+    candidates = [(math.exp((f + const) / beta0) - spec.error_weight, y) for f, y in ((f_new, y_new), (f_cur, y_cur))]
     new_delta, y_best = min(candidates, key=lambda c: c[0])
     new_taus = tuple(float(v) for v in np.exp(y_best))
     return AgmaStep(new_taus, new_delta, (beta0, *betas.tolist()), newton_steps)
@@ -439,7 +420,9 @@ def optimize(spec: ObjectiveSpec) -> OptimizerResult:
     if g_ones > 1.0:
         raise NoFeasiblePoint(f"even tau = 1 misses the deadline (G = {g_ones:.6g})")
     taus: tuple[float, ...] = (1.0,) * n
-    delta = max(j_plus(spec, ones) - j_minus(spec, ones), _TOLERANCE)
+    # J+(1) - J-(1), as each monomial is its coefficient at tau = 1
+    j_plus, u_sum = (float(np.exp(logc).sum()) for _, logc in (_j_plus_terms(spec), _u_terms(spec)))
+    delta = max(j_plus - (spec.error_weight + u_sum), _TOLERANCE)
     history = [delta]
     converged = False
     iterations = newton_steps = 0

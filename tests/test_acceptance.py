@@ -336,9 +336,9 @@ def test_criterion_06_barrier_restart_at_optimum(monkeypatch):
     solve_inner = gp_optimizer._solve_inner
 
     def recorded(*args):
-        y, steps = solve_inner(*args)
+        y, f, steps = solve_inner(*args)
         solves.append((args[:-1], y))
-        return y, steps
+        return y, f, steps
 
     monkeypatch.setattr(gp_optimizer, "_solve_inner", recorded)
     rng = np.random.default_rng(666)
@@ -347,7 +347,7 @@ def test_criterion_06_barrier_restart_at_optimum(monkeypatch):
     assert len(solves) >= 20
     for problem, y_opt in solves:
         for start in (y_opt, y_opt * (1.0 + 1e-12)):
-            _, steps = solve_inner(*problem, start)
+            _, _, steps = solve_inner(*problem, start)
             assert steps <= 30
 
 

@@ -650,7 +650,6 @@ class TestMainEntry:
                 "'size_range'",
                 id="size_range_length",
             ),
-            pytest.param("theory", {"theory": {"sigma2": [1]}}, "'sigma2'", id="theory_constant_list"),
             # scalar keys given a list
             pytest.param("run", {"seed": [1]}, "'seed'", id="seed_list"),
             pytest.param("run", {"task": {"kind": "quadratic", "dimension": [4]}}, "'dimension'", id="dimension_list"),
@@ -780,26 +779,13 @@ class TestMainEntry:
                 "run", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'", id="init_scale_nan_run"
             ),
             pytest.param(
-                "theory", {"task": {"kind": "quadratic", "init_scale": math.nan}}, "'init_scale'",
-                id="init_scale_nan_theory",
-            ),
-            pytest.param(
                 "run", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'",
                 id="center_spread_nan_run",
             ),
-            pytest.param(
-                "theory", {"task": {"kind": "quadratic", "center_spread": math.nan}}, "'center_spread'",
-                id="center_spread_nan_theory",
-            ),
-            pytest.param("theory", {"theory": {"lipschitz": math.inf}}, "'lipschitz'", id="lipschitz_inf"),
             # spreads are >= 0: numpy's "scale < 0" named no key
             pytest.param(
                 "run", {"task": {"kind": "quadratic", "center_spread": -0.5}}, "'center_spread'",
                 id="center_spread_negative",
-            ),
-            pytest.param(
-                "theory", {"task": {"kind": "quadratic", "sample_spread": -0.5}}, "'sample_spread'",
-                id="sample_spread_negative",
             ),
             pytest.param(
                 "run",

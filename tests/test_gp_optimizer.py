@@ -16,8 +16,6 @@ from hierfed.gp_optimizer import (
     brute_force,
     closed_form_computation_limited,
     g_value,
-    j_minus,
-    j_plus,
     objective,
     optimize,
 )
@@ -52,6 +50,20 @@ def random_spec(rng, n=None):
         t_edge=[float(v) for v in rng.uniform(0.1, 1.0, size=n - 1)],
         deadline=float(rng.uniform(20, 300)),
     )
+
+
+def posynomial(terms, taus):
+    """Exp-sum of a (exponent matrix, log-coefficient vector) table at taus."""
+    exps, logc = terms
+    return float(np.sum(np.exp(exps @ np.log(taus) + logc)))
+
+
+def j_plus(spec, taus):
+    return posynomial(gp_optimizer._j_plus_terms(spec), taus)
+
+
+def j_minus(spec, taus):
+    return spec.error_weight + posynomial(gp_optimizer._u_terms(spec), taus)
 
 
 def tilde_j_minus(spec, taus, delta, betas):
@@ -341,10 +353,11 @@ class TestInnerSolverBounds:
 
     def test_each_point_evaluated_once(self, monkeypatch):
         # within one inner solve: no LSE of a (term table, point) pair runs
-        # twice, both tables are evaluated at the start point and at every
-        # accepted point, and the value-only _lse_value never runs
-        lse, lse_value, solve_inner = gp_optimizer._lse, gp_optimizer._lse_value, gp_optimizer._solve_inner
-        solves = []
+        # twice, and both tables are evaluated at the start point and at every
+        # accepted point; outside it, each AGMA step evaluates the objective
+        # table once, at its incoming point, and no other table or point
+        lse, solve_inner, agma_step = gp_optimizer._lse, gp_optimizer._solve_inner, gp_optimizer.agma_step
+        solves, steps = [], []
 
         class Point(np.ndarray):
             # the solver squares its current point once per Newton iteration:
@@ -354,36 +367,58 @@ class TestInnerSolverBounds:
                 return np.asarray(self) ** other
 
         def counted(exps, logc, y):
-            args = solves[-1]["args"]
-            table = "objective" if exps is args[0] else "deadline" if exps is args[3] else None
-            solves[-1]["lse"].append((table, np.asarray(y).tobytes()))
+            # filed under the running solve, else under the running AGMA step
+            record = solves[-1] if solves and "steps" not in solves[-1] else steps[-1]
+            record["lse"].append((exps, np.asarray(y).tobytes()))
             return lse(exps, logc, y)
-
-        def value_only(*args):
-            assert not solves or "steps" in solves[-1], "_solve_inner called _lse_value"
-            return lse_value(*args)
 
         def recorded(*args):
             solves.append({"args": args, "lse": [], "newton": set()})
-            y, steps = solve_inner(*args[:-1], args[-1].view(Point))
-            solves[-1]["steps"] = steps
-            return np.asarray(y), steps
+            y, f, n_steps = solve_inner(*args[:-1], args[-1].view(Point))
+            solves[-1]["steps"] = n_steps
+            return np.asarray(y), f, n_steps
+
+        def table(exps, args):
+            return "objective" if exps is args[0] else "deadline" if exps is args[3] else None
+
+        def stepped(spec, taus, delta):
+            steps.append({"y": np.log(np.asarray(taus, dtype=float)).tobytes(), "lse": []})
+            return agma_step(spec, taus, delta)
 
         monkeypatch.setattr(gp_optimizer, "_lse", counted)
-        monkeypatch.setattr(gp_optimizer, "_lse_value", value_only)
         monkeypatch.setattr(gp_optimizer, "_solve_inner", recorded)
+        monkeypatch.setattr(gp_optimizer, "agma_step", stepped)
         rng = np.random.default_rng(11)
         for _ in range(4):
             optimize(random_spec(rng))
-        assert len(solves) >= 4
-        for solve in solves:
-            calls = solve["lse"]
-            assert None not in {table for table, _ in calls}
+        assert len(solves) == len(steps) >= 4
+        for solve, step in zip(solves, steps):
+            args = solve["args"]
+            calls = [(table(exps, args), y) for exps, y in solve["lse"]]
+            assert None not in {name for name, _ in calls}
             assert len(set(calls)) == len(calls)
-            both = {y for table, y in calls if table == "objective"} & {y for table, y in calls if table == "deadline"}
-            assert solve["args"][-1].tobytes() in solve["newton"]
+            both = {y for name, y in calls if name == "objective"} & {y for name, y in calls if name == "deadline"}
+            assert args[-1].tobytes() in solve["newton"]
             assert len(solve["newton"]) == solve["steps"] + 1
             assert solve["newton"] <= both
+            assert [(table(exps, args), y) for exps, y in step["lse"]] == [("objective", step["y"])]
+
+    def test_returned_value_is_the_objective_at_the_returned_point(self, monkeypatch):
+        # _solve_inner's f is LSE(obj)(y) - lin . y at its y, to the bit
+        solve_inner, solves = gp_optimizer._solve_inner, []
+
+        def recorded(*args):
+            out = solve_inner(*args)
+            solves.append((args, out))
+            return out
+
+        monkeypatch.setattr(gp_optimizer, "_solve_inner", recorded)
+        rng = np.random.default_rng(37)
+        for _ in range(8):
+            optimize(random_spec(rng))
+        assert len(solves) >= 8
+        for (obj_exps, obj_logc, lin, *_), (y, f, _) in solves:
+            assert f.hex() == (gp_optimizer._lse(obj_exps, obj_logc, y)[0] - float(lin @ y)).hex()
 
 
 def reference_lse(exps: np.ndarray, logc: np.ndarray, y: np.ndarray):
@@ -427,7 +462,6 @@ class TestLse:
             ref_value, ref_grad, ref_hess = reference_lse(exps, logc, y)
             assert math.isfinite(value) and value.hex() == ref_value.hex()
             assert grad.tobytes() == ref_grad.tobytes() and hess.tobytes() == ref_hess.tobytes()
-            assert gp_optimizer._lse_value(exps, logc, y).hex() == value.hex()
         assert n_inf >= 50
 
     def test_leaves_its_inputs(self):

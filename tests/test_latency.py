@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierfed.cli import _setup
-from hierfed.gp_optimizer import ObjectiveSpec, _g_terms, _lse_value, g_value
+from hierfed.gp_optimizer import ObjectiveSpec, _g_terms, _lse, g_value
 from hierfed.latency import (
     LatencyParams,
     LengthMismatch,
@@ -156,7 +156,7 @@ class TestRoundLatencyProperties:
         assert got == naive_round_latency(p, taus)
         spec = ObjectiveSpec(alpha=0.5, counts=(1,) * (n - 1), n_tot=1, q=(0.0,) * n, latency=p)
         # the barrier's log-space transcription of G = (T / T_d) * round latency
-        barrier_g = math.exp(_lse_value(*_g_terms(spec), np.log(taus)))
+        barrier_g = math.exp(_lse(*_g_terms(spec), np.log(taus))[0])
         assert barrier_g * deadline / rounds == pytest.approx(got, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)

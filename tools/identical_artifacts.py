@@ -37,8 +37,12 @@ each subcommand that reads it), runs each config through `hierfed.cli.main`
 in one subprocess per tree, and
 compares exit codes and stderr. It prints each difference, a JSON output's
 by field and a float's with its distance in floats, and exits 1 if there is
-any, else 0. It takes a few minutes on a 2-vCPU machine, and it does not
-run in CI, because it needs a second tree.
+any, else 0. It takes a few minutes on a 2-vCPU machine.
+
+CI runs it with the checkout as its own parent, `python3
+tools/identical_artifacts.py .`: an A/A check that every artifact, optimizer
+result and walk exit is the same across processes, which also keeps the
+tool runnable. It writes nothing into either checkout.
 """
 
 from __future__ import annotations
